@@ -19,6 +19,8 @@ import numpy as np
 
 from .errors import InputError
 
+INT64_MAX = int(np.iinfo(np.int64).max)
+
 
 def hamming(a: Sequence, b: Sequence) -> int:
     """Number of positions where two equal-length sequences differ."""
@@ -104,6 +106,8 @@ class TimeLabels:
     def __post_init__(self) -> None:
         if self.m < 0:
             raise InputError(f"time horizon must be non-negative, got {self.m}")
+        if self.m > INT64_MAX:
+            raise InputError(f"time horizon {self.m} exceeds int64")
         by_id = dict(self.by_id)
         for pid, label in by_id.items():
             if not 0 <= label <= self.m:
@@ -177,9 +181,20 @@ class ScaleSchedule:
 
 
 def deform(space: DistanceSpace, labels: TimeLabels) -> ScaledDistanceMatrix:
-    """Fold time labels into the distance matrix as exact 1/N offsets."""
-    lab = labels.vector(space.point_ids)
+    """Fold time labels into the distance matrix as exact 1/N offsets.
+
+    Raises InputError when N*max(h, 1) + m, which bounds every deformed value
+    and N itself, does not fit in int64, rather than letting the matrix wrap
+    around.
+    """
     base = time_offset_base(labels.m)
+    h = max(space.diameter(), 1)
+    if base * h + labels.m > INT64_MAX:
+        raise InputError(
+            f"deformed distances overflow int64: N*max(h, 1) + m = "
+            f"{base}*{h} + {labels.m} exceeds {INT64_MAX}"
+        )
+    lab = labels.vector(space.point_ids)
     scaled = base * space.dist + np.maximum.outer(lab, lab)
     if scaled.size:
         np.fill_diagonal(scaled, 0)

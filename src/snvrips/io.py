@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .distance import (
+    INT64_MAX,
     DistanceSpace,
     TimeLabels,
     build_space_from_sequences,
@@ -192,6 +193,8 @@ def parse_matrix(
                 raise InputError(f"matrix line {k}: {cell!r} is not an integer") from None
             if value < 0:
                 raise InputError(f"matrix line {k}: negative distance {value}")
+            if value > INT64_MAX:
+                raise InputError(f"matrix line {k}: distance {value} exceeds int64")
             dist[k, j] = dist[j, k] = value
 
     ids = tuple(f"p{i}" for i in range(n))

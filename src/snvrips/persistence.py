@@ -12,6 +12,12 @@ columns so that every bar comes with an explicit 1-cycle:
 
 Homology (not cohomology) reduction is used precisely because the
 representatives are needed downstream.
+
+Over F_2 each column is a Python int whose set bits are the ranks of its
+faces within their own dimension (edge rows of a triangle column are edge
+ranks, not global positions), which keeps the integers short.  The lowest
+entry is ``bit_length() - 1`` mapped back to a global position, and column
+addition and V-tracking are XOR.  Other primes use sparse dict columns.
 """
 
 from __future__ import annotations
@@ -79,6 +85,61 @@ def _axpy(dst: Chain, src: Chain, c: int, p: int) -> None:
             dst.pop(row, None)
 
 
+def _bits_to_chain(bits: int, positions: list[int]) -> Chain:
+    """The F_2 chain whose set bits are ranks into ``positions``, ascending."""
+    chain = {}
+    while bits:
+        low = bits & -bits
+        chain[positions[low.bit_length() - 1]] = 1
+        bits ^= low
+    return chain
+
+
+def _reduce_f2(columns: list[Chain], dims: list[int], clearing: bool) -> ReductionResult:
+    # by_dim[d][r] is the global position of the rank-r simplex of dimension d
+    by_dim: tuple[list[int], ...] = ([], [], [])
+    rank = []
+    for j, d in enumerate(dims):
+        rank.append(len(by_dim[d]))
+        by_dim[d].append(j)
+
+    reduced: list[Chain] = [{} for _ in columns]
+    pairing: dict[int, int] = {}
+    cycle_basis: dict[int, Chain] = {}
+    cleared: set[int] = set()  # edge ranks paired with a triangle
+    for d in (2, 1):
+        own, faces = by_dim[d], by_dim[d - 1]
+        pivots: dict[int, tuple[int, int]] = {}  # low rank -> (column, V column)
+        for r, j in enumerate(own):
+            if d == 1 and r in cleared:
+                continue
+            col = 0
+            for face in columns[j]:
+                col |= 1 << rank[face]
+            v = 1 << r if d == 1 else 0
+            while col:
+                low = col.bit_length() - 1
+                owner = pivots.get(low)
+                if owner is None:
+                    pivots[low] = (col, v)
+                    break
+                col ^= owner[0]
+                v ^= owner[1]
+            if col:
+                reduced[j] = _bits_to_chain(col, faces)
+                if d == 2:
+                    pairing[j] = faces[low]
+                    if clearing:
+                        cleared.add(low)
+            elif d == 1:
+                cycle_basis[j] = _bits_to_chain(v, own)
+
+    for tri, edge in pairing.items():
+        if rank[edge] in cleared:
+            cycle_basis[edge] = dict(reduced[tri])
+    return ReductionResult(pairing, cycle_basis, reduced)
+
+
 def reduce_with_basis(
     columns: list[Chain],
     dims: list[int],
@@ -93,15 +154,16 @@ def reduce_with_basis(
     With ``clearing`` enabled, edge columns already paired as lows of reduced
     triangle columns are skipped and their cycle_basis entry is taken from the
     paired triangle's reduced column (an equivalent cycle with the same
-    youngest edge).
+    youngest edge).  Over F_2 the columns are rank-indexed bitsets.
     """
     n = len(columns)
     if len(dims) != n:
         raise ValueError("columns and dims must have equal length")
-    two = p == 2
+    if p == 2:
+        return _reduce_f2(columns, dims, clearing)
 
-    work: list = [set(c) if two else dict(c) for c in columns]
-    vtrack: dict[int, object] = {}  # dim-1 column -> accumulated V column
+    work = [dict(c) for c in columns]
+    vtrack: dict[int, Chain] = {}  # dim-1 column -> accumulated V column
     pivot_owner: dict[int, int] = {}
     cleared: set[int] = set()
     pairing: dict[int, int] = {}
@@ -114,7 +176,7 @@ def reduce_with_basis(
         col = work[j]
         track = dims[j] == 1
         if track:
-            vtrack[j] = {j} if two else {j: 1}
+            vtrack[j] = {j: 1}
         while col:
             low = max(col)
             owner = pivot_owner.get(low)
@@ -122,15 +184,10 @@ def reduce_with_basis(
                 pivot_owner[low] = j
                 break
             other = work[owner]
-            if two:
-                col ^= other
-                if track:
-                    vtrack[j] ^= vtrack[owner]
-            else:
-                c = col[low] * pow(other[low], p - 2, p) % p
-                _axpy(col, other, c, p)
-                if track:
-                    _axpy(vtrack[j], vtrack[owner], c, p)
+            c = col[low] * pow(other[low], p - 2, p) % p
+            _axpy(col, other, c, p)
+            if track:
+                _axpy(vtrack[j], vtrack[owner], c, p)
         if col:
             if dims[j] == 2:
                 low = max(col)
@@ -138,14 +195,10 @@ def reduce_with_basis(
                 if clearing:
                     cleared.add(low)
         elif track:
-            v = vtrack[j]
-            cycle_basis[j] = {r: 1 for r in sorted(v)} if two else dict(v)
+            cycle_basis[j] = dict(vtrack[j])
 
     # a cleared column's reduced form is zero by the clearing argument
-    reduced = [
-        {} if j in cleared else ({r: 1 for r in sorted(c)} if two else dict(c))
-        for j, c in enumerate(work)
-    ]
+    reduced = [{} if j in cleared else dict(c) for j, c in enumerate(work)]
     for tri, edge in pairing.items():
         if edge in cleared:
             cycle_basis[edge] = dict(reduced[tri])

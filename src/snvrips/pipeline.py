@@ -230,9 +230,10 @@ def deformed_snv(
     """Single-barcode SNV extraction from the time-deformed distance matrix.
 
     Default cap 2N-1 resolves exactly the first scale block; pass ``"full"``
-    (or an explicit value) to resolve the complete barcode instead.  Bars born
-    in [N, N+m] become SNV bars with birth_step = birth - N; a death value
-    beyond N+m means the class is alive through the horizon.
+    (or an explicit value) to resolve the complete barcode instead.  An
+    explicit cap below N+m is rejected: it would cut the first block short.
+    Bars born in [N, N+m] become SNV bars with birth_step = birth - N; a death
+    value beyond N+m means the class is alive through the horizon.
     """
     start = time.perf_counter()
     scaled = deform(space, labels)
@@ -243,6 +244,11 @@ def deformed_snv(
         cap_value = scaled.diameter()
     else:
         cap_value = int(cap)
+        if cap_value < scaled.base + labels.m:
+            raise InputError(
+                f"deformed cap {cap_value} is below N+m = {scaled.base + labels.m}; "
+                "it would cut off the first scale block [N, N+m]"
+            )
 
     cplx = build_rips(scaled.scaled, cap_value)
     barcode = barcode_h1(cplx, p)

@@ -1,13 +1,16 @@
 """Vietoris-Rips filtered complexes of dimension <= 2 over integer matrices.
 
-Simplices are ordered by (value, dimension, vertex tuple); the order is total
-and face-respecting, so downstream matrix reduction is deterministic.
+The complex is the clique complex of the edge graph {d <= cap}: edges come
+from the upper triangle of the thresholded matrix, and the triangles through
+vertex i are the edges among i's higher-numbered neighbours, so no vertex
+triple outside the graph is ever examined.  Simplices are ordered by (value,
+dimension, vertex tuple) with one lexsort; the order is total and
+face-respecting, so downstream matrix reduction is deterministic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
@@ -48,36 +51,48 @@ class FilteredComplex:
         return self.index[vertices]
 
 
-def build_rips(dist, cap: int, max_dim: int = 2) -> FilteredComplex:
-    """All simplices of dimension <= max_dim whose pairwise distances are <= cap.
+def build_rips(dist, cap: int) -> FilteredComplex:
+    """All simplices of dimension <= 2 whose pairwise distances are <= cap.
 
     Vertices enter at value 0, an edge at its distance, a triangle at the max
-    of its three edge values.
+    of its three edge values.  Triangles are the 3-cliques of the edge graph:
+    for each vertex i, the edges among its higher-numbered neighbours.
     """
     d = np.asarray(dist, dtype=np.int64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
     if d.size and (np.diagonal(d).any() or not np.array_equal(d, d.T)):
         raise ValueError("distance matrix must be symmetric with zero diagonal")
-    if max_dim not in (0, 1, 2):
-        raise ValueError(f"max_dim must be 0, 1, or 2, got {max_dim}")
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
 
     n = d.shape[0]
-    rows = d.tolist()
-    simplices = [Simplex((i,), 0) for i in range(n)]
-    if max_dim >= 1:
-        for i, j in combinations(range(n), 2):
-            if rows[i][j] <= cap:
-                simplices.append(Simplex((i, j), rows[i][j]))
-    if max_dim >= 2:
-        for i, j, k in combinations(range(n), 3):
-            value = max(rows[i][j], rows[i][k], rows[j][k])
-            if value <= cap:
-                simplices.append(Simplex((i, j, k), value))
+    adj = np.triu(d <= cap, k=1)
+    ei, ej = np.nonzero(adj)
+    tri = [np.zeros((0, 3), dtype=np.int64)]
+    for i in range(n):
+        up = np.flatnonzero(adj[i])
+        if up.size >= 2:
+            # adj is strictly upper triangular and up ascending, so the
+            # sub-adjacency is too: each (a, b) is one triangle (i, up[a], up[b])
+            a, b = np.nonzero(adj[np.ix_(up, up)])
+            tri.append(np.column_stack((np.full(a.size, i), up[a], up[b])))
+    ti, tj, tk = np.concatenate(tri).T
+    tv = np.maximum(np.maximum(d[ti, tj], d[ti, tk]), d[tj, tk])
 
-    simplices.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
+    value = np.concatenate((np.zeros(n, dtype=np.int64), d[ei, ej], tv))
+    dim = np.repeat([0, 1, 2], [n, ei.size, ti.size])
+    pad = np.full(n + ei.size, -1)
+    v0 = np.concatenate((np.arange(n), ei, ti))
+    v1 = np.concatenate((pad[:n], ej, tj))
+    v2 = np.concatenate((pad, tk))
+    order = np.lexsort((v2, v1, v0, dim, value)).tolist()
+
+    verts = [(i,) for i in range(n)]
+    verts += zip(ei.tolist(), ej.tolist())
+    verts += zip(ti.tolist(), tj.tolist(), tk.tolist())
+    values = value.tolist()
+    simplices = [Simplex(verts[k], values[k]) for k in order]
     index = {s.vertices: pos for pos, s in enumerate(simplices)}
     diameter = int(d.max()) if n >= 2 else 0
     return FilteredComplex(simplices, cap, n, diameter, index)

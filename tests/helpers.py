@@ -1,8 +1,17 @@
 """Hand-checked fixture instances shared across the test modules."""
 
+from itertools import combinations
+
 import numpy as np
 
-from snvrips import DistanceSpace, RandomInstanceSpec, TimeLabels, random_instance
+from snvrips import (
+    DistanceSpace,
+    FilteredComplex,
+    RandomInstanceSpec,
+    Simplex,
+    TimeLabels,
+    random_instance,
+)
 
 
 def square_space() -> DistanceSpace:
@@ -54,3 +63,22 @@ def suite_instance(seed: int) -> tuple[DistanceSpace, TimeLabels, int]:
     )
     space, labels = random_instance(spec)
     return space, labels, 2 if seed % 2 == 0 else 3
+
+
+def all_triples_rips(dist, cap: int) -> FilteredComplex:
+    """Reference Rips complex: tests every vertex pair and triple against the cap."""
+    d = np.asarray(dist, dtype=np.int64)
+    n = d.shape[0]
+    rows = d.tolist()
+    simplices = [Simplex((i,), 0) for i in range(n)]
+    for i, j in combinations(range(n), 2):
+        if rows[i][j] <= cap:
+            simplices.append(Simplex((i, j), rows[i][j]))
+    for i, j, k in combinations(range(n), 3):
+        value = max(rows[i][j], rows[i][k], rows[j][k])
+        if value <= cap:
+            simplices.append(Simplex((i, j, k), value))
+    simplices.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
+    index = {s.vertices: pos for pos, s in enumerate(simplices)}
+    diameter = int(d.max()) if n >= 2 else 0
+    return FilteredComplex(simplices, cap, n, diameter, index)

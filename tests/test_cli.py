@@ -155,3 +155,25 @@ def test_repeated_runs_are_byte_identical(capsys):
     first = capsys.readouterr().out
     assert cli.main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_deformed_int64_overflow_exits_1(tmp_path, capsys):
+    matrix = tmp_path / "dist.txt"
+    times = tmp_path / "times.txt"
+    matrix.write_text("999999999999999999\n")
+    times.write_text("0\n999\n")
+    args = ["deformed", "--matrix", str(matrix), "--times", str(times), "--cap", "full"]
+    assert cli.main(args) == 1
+    assert "overflow int64" in capsys.readouterr().err
+
+
+def test_deformed_cap_below_n_plus_m_rejected(capsys):
+    args = ["deformed", "--n", "60", "--m", "12", "--seed", "3", "--format", "tsv"]
+    assert cli.main(args + ["--cap", "105"]) == 1
+    assert "N+m = 112" in capsys.readouterr().err
+    assert cli.main(args) == 0
+    default = capsys.readouterr().out
+    # no deformed value lies strictly between N+m and 2N
+    for cap in ("112", "150", "199"):
+        assert cli.main(args + ["--cap", cap]) == 0
+        assert capsys.readouterr().out == default

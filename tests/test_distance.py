@@ -147,9 +147,22 @@ def test_distance_space_validation():
         DistanceSpace(("a", "b"), np.zeros((3, 3), dtype=int))
 
 
+def test_deform_rejects_int64_overflow():
+    h = 999999999999999999
+    space = DistanceSpace(("a", "b"), np.array([[0, h], [h, 0]]))
+    with pytest.raises(InputError, match="overflow int64"):
+        deform(space, TimeLabels(999, {"a": 0, "b": 999}))
+    # N itself overflows even with no pair to deform
+    single = DistanceSpace(("a",), np.zeros((1, 1)))
+    with pytest.raises(InputError, match="overflow int64"):
+        deform(single, TimeLabels(10**18, {"a": 0}))
+
+
 def test_time_labels_validation():
     with pytest.raises(InputError, match="outside"):
         TimeLabels(2, {"a": 3})
+    with pytest.raises(InputError, match="exceeds int64"):
+        TimeLabels(2**63, {"a": 0})
     with pytest.raises(InputError, match="'missing'"):
         TimeLabels(2, {"a": 1}).of("missing")
     labels = TimeLabels(2, {"a": 1, "b": 0})

@@ -125,6 +125,12 @@ def test_parse_matrix_errors():
         parse_matrix("1\n", "")
 
 
+def test_parse_matrix_rejects_entries_beyond_int64():
+    with pytest.raises(InputError, match="exceeds int64"):
+        parse_matrix(f"{2**63}\n", "0\n1\n")
+    assert parse_matrix(f"{2**63 - 1}\n", "0\n1\n").space.diameter() == 2**63 - 1
+
+
 def test_emit_classical_square_json():
     report = classical_snv(square_space(), square_labels())
     text = emit_report(report, "json")

@@ -67,12 +67,8 @@ def test_lower_cap_complex_is_prefix_of_higher():
             assert part.simplices == full.simplices[: len(part)]
 
 
-def test_max_dim_limits():
+def test_build_rips_rejects_bad_input():
     d = unit_triangle().dist
-    assert [s.dim for s in build_rips(d, cap=1, max_dim=0).simplices] == [0, 0, 0]
-    assert max(s.dim for s in build_rips(d, cap=1, max_dim=1).simplices) == 1
-    with pytest.raises(ValueError, match="max_dim"):
-        build_rips(d, cap=1, max_dim=3)
     with pytest.raises(ValueError, match="cap"):
         build_rips(d, cap=-1)
     with pytest.raises(ValueError, match="square"):
