@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .distance import TimeLabels
+from .distance import INT64_MAX, TimeLabels
 from .errors import InputError
 from .io import InputBundle, emit_report, parse_matrix, parse_sequences
 from .oracle import RandomInstanceSpec, random_instance, snv_counts_oracle
@@ -49,7 +49,17 @@ def parse_cap(text: str | None) -> int | str | None:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad flag as InputError, so it exits 1 like any bad input."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def _check_prime(p: int) -> None:
+    # the oracle multiplies residues in int64; the bound also keeps trial division short
+    if p > 1 and (p - 1) ** 2 > INT64_MAX:
+        raise InputError(f"--prime must satisfy (p-1)^2 < 2^63, got {p}")
     if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise InputError(f"--prime must be a prime number, got {p}")
 
@@ -137,7 +147,6 @@ def _cmd_classical(args: argparse.Namespace) -> int:
         bundle.labels,
         p=args.prime,
         cap=None if cap == "full" else cap,
-        threads=args.threads,
     )
     _attach_provenance(report, bundle)
     sys.stdout.write(emit_report(report, args.format))
@@ -169,7 +178,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         bundle.labels,
         p=args.prime,
         cap=None if cap == "full" else cap,
-        threads=args.threads,
     )
     deformed = deformed_snv(bundle.space, bundle.labels, p=args.prime)
     verdict = verify_correspondence(classical, deformed)
@@ -189,7 +197,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         bundle.labels,
         p=args.prime,
         repetitions=args.repetitions,
-        threads=args.threads,
     )
     sys.stdout.write(emit_report(result, args.format))
     if not result.correspondence_clean:
@@ -240,11 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--format", choices=("json", "tsv"), default="json", help="output format"
     )
-    common.add_argument(
-        "--threads", type=int, default=1, help="worker threads for per-step runs"
-    )
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="snvrips",
         description="Per-time-step SNV cycles from one deformed Rips barcode.",
     )
@@ -302,11 +306,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_prime(args.prime)
-        if args.threads < 1:
-            raise InputError(f"--threads must be >= 1, got {args.threads}")
         return args.handler(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,12 +11,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .distance import DistanceSpace, TimeLabels
+from .distance import INT64_MAX, DistanceSpace, TimeLabels
 from .errors import InputError
 
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
-    """Rank of a dense integer matrix over F_p by row elimination."""
+    """Rank of a dense integer matrix over F_p by int64 row elimination."""
+    if (p - 1) ** 2 > INT64_MAX:
+        raise ValueError(f"(p-1)^2 overflows int64 for p={p}")  # residue products
     a = (np.asarray(mat, dtype=np.int64) % p).copy()
     if a.size == 0:
         return 0
@@ -103,8 +105,12 @@ def random_instance(spec: RandomInstanceSpec) -> tuple[DistanceSpace, TimeLabels
     """
     if spec.n < 1:
         raise InputError(f"need at least one point, got n={spec.n}")
-    if spec.d_max < 1:
-        raise InputError(f"d_max must be >= 1, got {spec.d_max}")
+    if not 1 <= spec.d_max <= INT64_MAX:
+        raise InputError(f"d_max must be in 1..{INT64_MAX}, got {spec.d_max}")
+    if not 0 <= spec.m <= INT64_MAX:
+        raise InputError(f"m must be in 0..{INT64_MAX}, got {spec.m}")
+    if spec.seed < 0:
+        raise InputError(f"seed must be >= 0, got {spec.seed}")
     rng = np.random.default_rng(spec.seed)
     draw = rng.integers(1, spec.d_max + 1, size=(spec.n, spec.n))
     upper = np.triu(draw, 1)

@@ -13,11 +13,11 @@ columns so that every bar comes with an explicit 1-cycle:
 Homology (not cohomology) reduction is used precisely because the
 representatives are needed downstream.
 
-Over F_2 each column is a Python int whose set bits are the ranks of its
-faces within their own dimension (edge rows of a triangle column are edge
-ranks, not global positions), which keeps the integers short.  The lowest
-entry is ``bit_length() - 1`` mapped back to a global position, and column
-addition and V-tracking are XOR.  Other primes use sparse dict columns.
+One driver serves every prime.  Rows are face ranks within their own
+dimension (edge rows of a triangle column are edge ranks, not global
+positions), and ``p`` picks only the column kernel, which owns the inner
+loop: over F_2 a column is a Python int bitset (low = ``bit_length() - 1``,
+addition and V-tracking by XOR), over other primes a dict keyed by rank.
 """
 
 from __future__ import annotations
@@ -38,11 +38,6 @@ class Bar:
     birth_value: int
     death_value: int | None
     representative: Chain
-    dim: int = 1
-
-    @property
-    def finite(self) -> bool:
-        return self.death_value is not None
 
 
 @dataclass
@@ -85,7 +80,25 @@ def _axpy(dst: Chain, src: Chain, c: int, p: int) -> None:
             dst.pop(row, None)
 
 
-def _bits_to_chain(bits: int, positions: list[int]) -> Chain:
+# A kernel reduces one column against ``pivots`` (low rank -> (column, V))
+# and returns (column, V); V is tracked when the column's own rank r is given.
+def _f2_reduce(column: Chain, rank: list[int], r: int | None, pivots: dict, p: int):
+    col = 0
+    for face in column:
+        col |= 1 << rank[face]
+    v = 0 if r is None else 1 << r
+    while col:
+        low = col.bit_length() - 1
+        owner = pivots.get(low)
+        if owner is None:
+            pivots[low] = (col, v)
+            break
+        col ^= owner[0]
+        v ^= owner[1]
+    return col, v
+
+
+def _f2_chain(bits: int, positions: list[int]) -> Chain:
     """The F_2 chain whose set bits are ranks into ``positions``, ascending."""
     chain = {}
     while bits:
@@ -95,49 +108,24 @@ def _bits_to_chain(bits: int, positions: list[int]) -> Chain:
     return chain
 
 
-def _reduce_f2(columns: list[Chain], dims: list[int], clearing: bool) -> ReductionResult:
-    # by_dim[d][r] is the global position of the rank-r simplex of dimension d
-    by_dim: tuple[list[int], ...] = ([], [], [])
-    rank = []
-    for j, d in enumerate(dims):
-        rank.append(len(by_dim[d]))
-        by_dim[d].append(j)
+def _fp_reduce(column: Chain, rank: list[int], r: int | None, pivots: dict, p: int):
+    col = {rank[face]: c for face, c in column.items()}
+    v = None if r is None else {r: 1}
+    while col:
+        low = max(col)
+        owner = pivots.get(low)
+        if owner is None:
+            pivots[low] = (col, v)
+            break
+        c = col[low] * pow(owner[0][low], p - 2, p) % p
+        _axpy(col, owner[0], c, p)
+        if v is not None:
+            _axpy(v, owner[1], c, p)
+    return col, v
 
-    reduced: list[Chain] = [{} for _ in columns]
-    pairing: dict[int, int] = {}
-    cycle_basis: dict[int, Chain] = {}
-    cleared: set[int] = set()  # edge ranks paired with a triangle
-    for d in (2, 1):
-        own, faces = by_dim[d], by_dim[d - 1]
-        pivots: dict[int, tuple[int, int]] = {}  # low rank -> (column, V column)
-        for r, j in enumerate(own):
-            if d == 1 and r in cleared:
-                continue
-            col = 0
-            for face in columns[j]:
-                col |= 1 << rank[face]
-            v = 1 << r if d == 1 else 0
-            while col:
-                low = col.bit_length() - 1
-                owner = pivots.get(low)
-                if owner is None:
-                    pivots[low] = (col, v)
-                    break
-                col ^= owner[0]
-                v ^= owner[1]
-            if col:
-                reduced[j] = _bits_to_chain(col, faces)
-                if d == 2:
-                    pairing[j] = faces[low]
-                    if clearing:
-                        cleared.add(low)
-            elif d == 1:
-                cycle_basis[j] = _bits_to_chain(v, own)
 
-    for tri, edge in pairing.items():
-        if rank[edge] in cleared:
-            cycle_basis[edge] = dict(reduced[tri])
-    return ReductionResult(pairing, cycle_basis, reduced)
+def _fp_chain(col: Chain, positions: list[int]) -> Chain:
+    return {positions[k]: c for k, c in col.items()}
 
 
 def reduce_with_basis(
@@ -154,53 +142,41 @@ def reduce_with_basis(
     With ``clearing`` enabled, edge columns already paired as lows of reduced
     triangle columns are skipped and their cycle_basis entry is taken from the
     paired triangle's reduced column (an equivalent cycle with the same
-    youngest edge).  Over F_2 the columns are rank-indexed bitsets.
+    youngest edge).  Rows are face ranks within their own dimension; ``p``
+    picks the column kernel, F_2 bitsets or F_p dicts.
     """
-    n = len(columns)
-    if len(dims) != n:
+    if len(dims) != len(columns):
         raise ValueError("columns and dims must have equal length")
-    if p == 2:
-        return _reduce_f2(columns, dims, clearing)
+    reduce_column, to_chain = (_f2_reduce, _f2_chain) if p == 2 else (_fp_reduce, _fp_chain)
+    # by_dim[d][r] is the global position of the rank-r simplex of dimension d
+    by_dim: tuple[list[int], ...] = ([], [], [])
+    rank = []
+    for j, d in enumerate(dims):
+        rank.append(len(by_dim[d]))
+        by_dim[d].append(j)
 
-    work = [dict(c) for c in columns]
-    vtrack: dict[int, Chain] = {}  # dim-1 column -> accumulated V column
-    pivot_owner: dict[int, int] = {}
-    cleared: set[int] = set()
+    reduced: list[Chain] = [{} for _ in columns]
     pairing: dict[int, int] = {}
     cycle_basis: dict[int, Chain] = {}
+    cleared: set[int] = set()  # edge ranks paired with a triangle
+    for d in (2, 1):
+        own, faces = by_dim[d], by_dim[d - 1]
+        pivots: dict = {}  # low rank -> (column, V column)
+        for r, j in enumerate(own):
+            if d == 1 and r in cleared:
+                continue
+            col, v = reduce_column(columns[j], rank, r if d == 1 else None, pivots, p)
+            if col:
+                reduced[j] = to_chain(col, faces)
+                if d == 2:
+                    pairing[j] = max(reduced[j])
+                    if clearing:
+                        cleared.add(rank[pairing[j]])
+            elif d == 1:
+                cycle_basis[j] = to_chain(v, own)
 
-    order = [j for d in (2, 1, 0) for j in range(n) if dims[j] == d]
-    for j in order:
-        if j in cleared:
-            continue
-        col = work[j]
-        track = dims[j] == 1
-        if track:
-            vtrack[j] = {j: 1}
-        while col:
-            low = max(col)
-            owner = pivot_owner.get(low)
-            if owner is None:
-                pivot_owner[low] = j
-                break
-            other = work[owner]
-            c = col[low] * pow(other[low], p - 2, p) % p
-            _axpy(col, other, c, p)
-            if track:
-                _axpy(vtrack[j], vtrack[owner], c, p)
-        if col:
-            if dims[j] == 2:
-                low = max(col)
-                pairing[j] = low
-                if clearing:
-                    cleared.add(low)
-        elif track:
-            cycle_basis[j] = dict(vtrack[j])
-
-    # a cleared column's reduced form is zero by the clearing argument
-    reduced = [{} if j in cleared else dict(c) for j, c in enumerate(work)]
     for tri, edge in pairing.items():
-        if edge in cleared:
+        if rank[edge] in cleared:
             cycle_basis[edge] = dict(reduced[tri])
     return ReductionResult(pairing, cycle_basis, reduced)
 

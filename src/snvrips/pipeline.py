@@ -14,8 +14,7 @@ from __future__ import annotations
 import statistics
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,7 +181,6 @@ def classical_snv(
     labels: TimeLabels,
     p: int = 2,
     cap: int | None = None,
-    threads: int = 1,
 ) -> SnvReport:
     """One barcode per time step; bars born at scale 1 are the SNV cycles.
 
@@ -193,14 +191,7 @@ def classical_snv(
         raise InputError(f"classical cap must be >= 1, got {cap}")
     labels.vector(space.point_ids)  # fail early on a missing label
     start = time.perf_counter()
-    steps = range(labels.m + 1)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda i: _classical_step(space, labels, i, p, cap), steps)
-            )
-    else:
-        results = [_classical_step(space, labels, i, p, cap) for i in steps]
+    results = [_classical_step(space, labels, i, p, cap) for i in range(labels.m + 1)]
 
     caps_by_step = [r[0] for r in results]
     bars = [bar for _, step_bars in results for bar in step_bars]
@@ -432,7 +423,6 @@ def benchmark(
     labels: TimeLabels,
     p: int = 2,
     repetitions: int = 1,
-    threads: int = 1,
 ) -> BenchmarkResult:
     """Median wall-clock of m+1 classical runs vs the single deformed run.
 
@@ -446,7 +436,7 @@ def benchmark(
     classical = deformed = None
     for _ in range(repetitions):
         t0 = time.perf_counter()
-        classical = classical_snv(space, labels, p, threads=threads)
+        classical = classical_snv(space, labels, p)
         t1 = time.perf_counter()
         deformed = deformed_snv(space, labels, p)
         t2 = time.perf_counter()
@@ -468,23 +458,3 @@ def benchmark(
         ratio=classical_median / max(deformed_median, 1e-12),
         correspondence_clean=verdict.ok,
     )
-
-
-def corrupted_copy(report: SnvReport, bar_index: int = 0) -> SnvReport:
-    """Copy of a deformed report with one bar's death shifted by a step.
-
-    Detector fuel for tests: verify_correspondence must flag the result.
-    """
-    bars = list(report.bars)
-    bar = bars[bar_index]
-    if bar.death_step is not None:
-        death = bar.death_step + 1 if bar.death_step < report.m else None
-        shifted = replace(bar, death_step=death)
-    elif bar.birth_step < report.m:
-        shifted = replace(bar, death_step=bar.birth_step + 1)
-    else:
-        raise ValueError("bar spans a single step at the horizon; nothing to shift")
-    bars[bar_index] = shifted
-    counts = [sum(b.alive_at(i) for b in bars) for i in range(report.m + 1)]
-    out = replace(report, bars=bars, per_step_counts=counts)
-    return out

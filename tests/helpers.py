@@ -1,5 +1,6 @@
 """Hand-checked fixture instances shared across the test modules."""
 
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -12,6 +13,7 @@ from snvrips import (
     TimeLabels,
     random_instance,
 )
+from snvrips.pipeline import SnvReport
 
 
 def square_space() -> DistanceSpace:
@@ -82,3 +84,22 @@ def all_triples_rips(dist, cap: int) -> FilteredComplex:
     index = {s.vertices: pos for pos, s in enumerate(simplices)}
     diameter = int(d.max()) if n >= 2 else 0
     return FilteredComplex(simplices, cap, n, diameter, index)
+
+
+def corrupted_copy(report: SnvReport, bar_index: int = 0) -> SnvReport:
+    """Copy of a deformed report with one bar's death shifted by a step.
+
+    Detector fuel: verify_correspondence must flag the result.
+    """
+    bars = list(report.bars)
+    bar = bars[bar_index]
+    if bar.death_step is not None:
+        death = bar.death_step + 1 if bar.death_step < report.m else None
+        shifted = replace(bar, death_step=death)
+    elif bar.birth_step < report.m:
+        shifted = replace(bar, death_step=bar.birth_step + 1)
+    else:
+        raise ValueError("bar spans a single step at the horizon; nothing to shift")
+    bars[bar_index] = shifted
+    counts = [sum(b.alive_at(i) for b in bars) for i in range(report.m + 1)]
+    return replace(report, bars=bars, per_step_counts=counts)

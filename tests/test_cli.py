@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import snvrips.cli as cli
 from snvrips.pipeline import CorrespondenceReport
 
@@ -115,8 +117,17 @@ def test_matrix_needs_times(tmp_path, capsys):
 
 
 def test_bad_prime_rejected(capsys):
-    assert cli.main(["oracle", "--n", "5", "--m", "1", "--prime", "4"]) == 1
-    assert "prime" in capsys.readouterr().err
+    args = ["oracle", "--n", "12", "--m", "3", "--seed", "4", "--format", "tsv"]
+    # 4 is composite; 4294967311 is prime but (p-1)^2 overflows the oracle's
+    # int64 products; 1000000000000000003 would not finish trial division
+    for prime in ("4", "4294967311", "1000000000000000003"):
+        assert cli.main(args + ["--prime", prime]) == 1
+        assert "prime" in capsys.readouterr().err
+
+
+def test_largest_allowed_prime_runs():
+    # the largest prime with (p-1)^2 < 2^63
+    assert cli.main(["oracle", "--n", "5", "--m", "1", "--prime", "3037000493"]) == 0
 
 
 def test_bad_cap_rejected(capsys):
@@ -124,9 +135,27 @@ def test_bad_cap_rejected(capsys):
     assert "cap" in capsys.readouterr().err
 
 
-def test_bad_threads_rejected(capsys):
-    assert cli.main(["classical", "--n", "5", "--m", "1", "--threads", "0"]) == 1
-    assert "threads" in capsys.readouterr().err
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deformed", "--n", "5", "--m", "1", "--prime", "abc"],
+        ["deformed", "--n", "5", "--m", "1", "--bogus"],
+        ["deformed", "--n", "5", "--m", "1", "--format", "xml"],
+        ["classical", "--n", "5", "--m", "1", "--threads", "2"],
+        [],
+    ],
+)
+def test_flag_parsing_errors_exit_1(argv, capsys):
+    assert cli.main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    for argv in (["--help"], ["deformed", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 def test_horizon_extends_generated_instance(capsys):

@@ -36,6 +36,21 @@ def test_rank_mod_p_matches_rational_rank():
         assert rank_mod_p(mat, 251) == np.linalg.matrix_rank(mat)
 
 
+def test_rank_mod_p_exact_at_the_largest_allowed_prime():
+    # rank <= 2 products of small matrices: the rational rank, which any prime
+    # this large must reproduce unless an int64 product wraps
+    p = 3037000493  # the largest prime with (p-1)^2 < 2^63
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        mat = rng.integers(-3, 4, size=(4, 2)) @ rng.integers(-3, 4, size=(2, 4))
+        assert rank_mod_p(mat, p) == np.linalg.matrix_rank(mat)
+
+
+def test_rank_mod_p_rejects_int64_overflowing_prime():
+    with pytest.raises(ValueError, match="overflows int64"):
+        rank_mod_p(np.eye(2, dtype=int), 4294967311)
+
+
 def test_rank_transpose_invariance():
     rng = np.random.default_rng(11)
     for p in (2, 3, 5):
@@ -114,3 +129,11 @@ def test_random_instance_rejects_bad_spec():
         random_instance(RandomInstanceSpec(seed=0, n=0, m=2, d_max=2))
     with pytest.raises(InputError, match="d_max"):
         random_instance(RandomInstanceSpec(seed=0, n=3, m=2, d_max=0))
+    with pytest.raises(InputError, match="d_max"):
+        random_instance(RandomInstanceSpec(seed=0, n=3, m=2, d_max=2**63))
+    with pytest.raises(InputError, match="m must"):
+        random_instance(RandomInstanceSpec(seed=0, n=3, m=-1, d_max=2))
+    with pytest.raises(InputError, match="m must"):
+        random_instance(RandomInstanceSpec(seed=0, n=3, m=2**63, d_max=2))
+    with pytest.raises(InputError, match="seed"):
+        random_instance(RandomInstanceSpec(seed=-1, n=3, m=2, d_max=2))

@@ -13,9 +13,16 @@ from snvrips import (
     time_filtration_barcode,
     verify_correspondence,
 )
-from snvrips.pipeline import CLASSICAL_NOTE, SnvBar, chain_from_representative, corrupted_copy
+from snvrips.pipeline import CLASSICAL_NOTE, SnvBar, chain_from_representative
 
-from helpers import apex_square, square_labels, square_space, suite_instance, unit_triangle
+from helpers import (
+    apex_square,
+    corrupted_copy,
+    square_labels,
+    square_space,
+    suite_instance,
+    unit_triangle,
+)
 
 
 def late_corner_square() -> tuple[DistanceSpace, TimeLabels]:
@@ -208,16 +215,6 @@ def test_extending_the_horizon_preserves_counts():
         assert cl.per_step_counts[labels.m + 1 :] == [base_counts[-1]] * 3
         assert df.per_step_counts == cl.per_step_counts
         assert verify_correspondence(cl, df).ok
-
-
-def test_thread_fanout_matches_sequential():
-    for seed in (2, 7):
-        space, labels, p = suite_instance(seed)
-        seq = classical_snv(space, labels, p, threads=1)
-        par = classical_snv(space, labels, p, threads=3)
-        assert seq.per_step_counts == par.per_step_counts
-        assert seq.bars == par.bars
-        assert seq.caps_by_step == par.caps_by_step
 
 
 def test_time_filtration_barcode():
