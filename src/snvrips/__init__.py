@@ -26,7 +26,7 @@ from .oracle import (
     random_instance,
     snv_counts_oracle,
 )
-from .persistence import Bar, Barcode, barcode_h1, class_is_nonzero_at, reduce_with_basis
+from .persistence import Bar, Barcode, barcode_h1, nonzero_sweep, reduce_with_basis
 from .pipeline import (
     BenchmarkResult,
     CorrespondenceReport,
@@ -37,7 +37,6 @@ from .pipeline import (
     classical_snv,
     deformed_snv,
     stability_report,
-    time_filtration_barcode,
     verify_correspondence,
 )
 from .rips import FilteredComplex, Simplex, build_rips, restrict_to_step
@@ -66,13 +65,13 @@ __all__ = [
     "betti1_bruteforce",
     "build_rips",
     "build_space_from_sequences",
-    "class_is_nonzero_at",
     "classical_snv",
     "dedupe_zero_distance",
     "deform",
     "deformed_snv",
     "emit_report",
     "hamming",
+    "nonzero_sweep",
     "parse_matrix",
     "parse_sequences",
     "random_instance",
@@ -80,7 +79,6 @@ __all__ = [
     "restrict_to_step",
     "snv_counts_oracle",
     "stability_report",
-    "time_filtration_barcode",
     "time_offset_base",
     "verify_correspondence",
 ]

@@ -331,5 +331,8 @@ def emit_report(report, format: str = "json", stability: StabilityReport | None 
             raise InputError(f"cannot serialize report of type {type(report).__name__}")
         return json.dumps(doc, indent=2) + "\n"
     if format == "tsv":
-        return "\n".join(_summary_lines(report)) + "\n"
+        lines = _summary_lines(report)
+        if stability is not None:
+            lines += _summary_lines(stability)
+        return "\n".join(lines) + "\n"
     raise InputError(f"unknown output format {format!r}; use 'json' or 'tsv'")

@@ -18,6 +18,10 @@ dimension (edge rows of a triangle column are edge ranks, not global
 positions), and ``p`` picks only the column kernel, which owns the inner
 loop: over F_2 a column is a Python int bitset (low = ``bit_length() - 1``,
 addition and V-tracking by XOR), over other primes a dict keyed by rank.
+
+``nonzero_sweep`` checks that reduction's deaths from outside: it keeps its
+own echelon of triangle boundaries, grown once over ascending thresholds, and
+reports whether each given 1-chain lies outside that span at each threshold.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ class Barcode:
     bars: list[Bar]
     cap: int
     p: int
-    exhaustive: bool = False  # cap covered the full diameter
 
     def count_alive(self, v: int) -> int:
         """Bars with birth <= v < death; the open end counts as alive."""
@@ -208,47 +211,69 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
             max(b.representative),
         )
     )
-    return Barcode(bars, cplx.cap, p, exhaustive=cplx.cap >= cplx.diameter)
+    return Barcode(bars, cplx.cap, p)
 
 
-def class_is_nonzero_at(chain: Chain, cplx: FilteredComplex, v: int, p: int) -> bool:
-    """Whether a 1-cycle is homologically nonzero in the complex at scale v.
+def nonzero_sweep(
+    cplx: FilteredComplex,
+    chains: list[Chain],
+    thresholds: list[int],
+    p: int,
+    starts: list[int],
+) -> list[list[bool]]:
+    """Whether each 1-chain is homologically nonzero at each threshold.
 
-    True iff the chain is outside the span of the boundaries of the triangles
-    with value <= v.  Every edge of the chain must be present at v.
+    Entry [k][i] is True iff chain k is outside the span of the boundaries of
+    the triangles with value <= thresholds[i]; chain k is tested from
+    thresholds[starts[k]] on, where every edge of it must be present, and
+    reads False before.  One echelon of triangle boundaries grows in
+    filtration order over the ascending thresholds, and each chain's residue
+    is carried from one threshold to the next: a residue reduced against a
+    smaller span stays valid as the span grows.
     """
-    residue = {}
-    for pos, coeff in chain.items():
-        s = cplx.simplices[pos]
-        if s.dim != 1:
-            raise InputError(f"chain entry at position {pos} is not an edge")
-        if s.value > v:
-            raise InputError(
-                f"edge {s.vertices} enters at value {s.value}, after scale {v}"
-            )
-        if coeff % p:
-            residue[pos] = coeff % p
-    if not residue:
-        return False
+    if any(a > b for a, b in zip(thresholds, thresholds[1:])):
+        raise ValueError("thresholds must be ascending")
+    residues: list[Chain] = []
+    for chain, start in zip(chains, starts):
+        residue = {}
+        for pos, coeff in chain.items():
+            s = cplx.simplices[pos]
+            if s.dim != 1:
+                raise InputError(f"chain entry at position {pos} is not an edge")
+            if start < len(thresholds) and s.value > thresholds[start]:
+                raise InputError(
+                    f"edge {s.vertices} enters at value {s.value}, "
+                    f"after scale {thresholds[start]}"
+                )
+            if coeff % p:
+                residue[pos] = coeff % p
+        residues.append(residue)
 
     echelon: dict[int, Chain] = {}  # pivot row -> normalized column
-    for pos, s in enumerate(cplx.simplices):
-        if s.dim != 2 or s.value > v:
-            continue
-        col = boundary_column(cplx, pos, p)
-        while col:
-            low = max(col)
-            owner = echelon.get(low)
-            if owner is None:
-                inv = pow(col[low], p - 2, p)
-                echelon[low] = {r: val * inv % p for r, val in col.items()}
-                break
-            _axpy(col, owner, col[low], p)
+    nonzero = [[False] * len(thresholds) for _ in chains]
+    pos = 0
+    for i, v in enumerate(thresholds):
+        while pos < len(cplx.simplices) and cplx.simplices[pos].value <= v:
+            if cplx.simplices[pos].dim == 2:
+                col = boundary_column(cplx, pos, p)
+                low = _free_low(col, echelon, p)
+                if low is not None:
+                    inv = pow(col[low], p - 2, p)
+                    echelon[low] = {r: val * inv % p for r, val in col.items()}
+            pos += 1
+        for k, residue in enumerate(residues):
+            if i >= starts[k]:
+                nonzero[k][i] = _free_low(residue, echelon, p) is not None
+    return nonzero
 
-    while residue:
-        low = max(residue)
+
+def _free_low(col: Chain, echelon: dict[int, Chain], p: int) -> int | None:
+    """Reduce ``col`` in place against the echelon; its lowest row owned by no
+    pivot, or None once it is zero."""
+    while col:
+        low = max(col)
         owner = echelon.get(low)
         if owner is None:
-            return True
-        _axpy(residue, owner, residue[low], p)
-    return False
+            return low
+        _axpy(col, owner, col[low], p)
+    return None

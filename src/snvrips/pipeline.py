@@ -7,26 +7,29 @@ first scale block [N, N+m]), and reads each bar's birth/death step off its
 scaled values.  A death at or beyond 2N can only happen at scale >= 2, so the
 class survives every step up to the horizon; the first block is all that SNV
 membership needs.
+
+Per-step runs cannot see deaths, so ``verify_correspondence`` checks the
+deformed death steps with ``stability_report``: one sweep over the thresholds
+kappa(0..m) tests every representative against an echelon that the reduction
+never touched.
 """
 
 from __future__ import annotations
 
 import statistics
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .distance import (
     DistanceSpace,
-    ScaledDistanceMatrix,
     ScaleSchedule,
     TimeLabels,
     deform,
 )
 from .errors import InputError
-from .persistence import Barcode, Chain, barcode_h1, class_is_nonzero_at
+from .persistence import Chain, barcode_h1, nonzero_sweep
 from .rips import FilteredComplex, build_rips, restrict_to_step
 
 Representative = tuple[tuple[str, str, int], ...]
@@ -79,10 +82,8 @@ class SnvReport:
     # in-memory context, not serialized
     space: DistanceSpace | None = None
     labels: TimeLabels | None = None
-    scaled: ScaledDistanceMatrix | None = None
     schedule: ScaleSchedule | None = None
     filtered_complex: FilteredComplex | None = None
-    barcode: Barcode | None = None
 
 
 @dataclass
@@ -277,32 +278,9 @@ def deformed_snv(
         timing=time.perf_counter() - start,
         space=space,
         labels=labels,
-        scaled=scaled,
         schedule=schedule,
         filtered_complex=cplx,
-        barcode=barcode,
     )
-
-
-def time_filtration_barcode(space: DistanceSpace, labels: TimeLabels, p: int) -> Barcode:
-    """Barcode of the scale-1 subcomplex filtered directly by time step.
-
-    Each simplex of the scale-1 Rips complex enters at the largest label among
-    its vertices; pairs at distance > 1 never enter.  This computes the
-    per-step birth/death structure without any distance deformation and serves
-    as the classical-side ground truth for death steps, which per-step runs
-    cannot see.
-    """
-    lab = labels.vector(space.point_ids)
-    step_matrix = np.maximum.outer(lab, lab)
-    step_matrix[space.dist > 1] = labels.m + 1  # excluded by the cap below
-    if step_matrix.size:
-        np.fill_diagonal(step_matrix, 0)
-    return barcode_h1(build_rips(step_matrix, cap=labels.m), p)
-
-
-def _interval_pairs(bars: list[SnvBar]) -> Counter:
-    return Counter((b.birth_step, b.death_step) for b in bars)
 
 
 def verify_correspondence(
@@ -310,10 +288,12 @@ def verify_correspondence(
 ) -> CorrespondenceReport:
     """Check the deformed run against classical computations of the same data.
 
-    Two checks: per-step count equality |SNV_i| = |SNV*_i|, and agreement of
-    the (birth_step, death_step) multisets, where the classical-side death
-    steps come from the directly built time filtration.  Any mismatch is a
-    discrepancy; the correspondence predicts there are none.
+    Two checks: per-step count equality |SNV_i| = |SNV*_i|, and every deformed
+    bar's step interval against the homology of its representative, tested by
+    ``stability_report`` with an echelon of its own.  A bar whose class is
+    nonzero exactly on its interval has a confirmed death step; each step where
+    membership and homology disagree is a discrepancy naming the bar and the
+    step.  The correspondence predicts there are none.
     """
     if classical.mode != "classical" or deformed.mode != "deformed":
         raise InputError("verify_correspondence needs a classical and a deformed report")
@@ -332,7 +312,6 @@ def verify_correspondence(
 
     m, p = classical.m, classical.p
     discrepancies: list[str] = []
-
     counts_match = []
     for i in range(m + 1):
         same = classical.per_step_counts[i] == deformed.per_step_counts[i]
@@ -343,38 +322,12 @@ def verify_correspondence(
                 f"!= deformed count {deformed.per_step_counts[i]}"
             )
 
-    direct = time_filtration_barcode(classical.space, classical.labels, p)
-    direct_pairs = Counter(
-        (b.birth_value, b.death_value if b.death_value is not None else None)
-        for b in direct.bars
-    )
-    deformed_pairs = _interval_pairs(deformed.bars)
-    for pair in sorted(
-        set(direct_pairs) | set(deformed_pairs),
-        key=lambda t: (t[0], -1 if t[1] is None else t[1]),
-    ):
-        a, b = direct_pairs[pair], deformed_pairs[pair]
-        if a != b:
-            birth, death = pair
-            interval = f"[{birth}, {'horizon' if death is None else death})"
-            discrepancies.append(
-                f"bar {interval}: classical multiplicity {a} != deformed {b}"
-            )
-
-    for i in range(m + 1):
-        direct_alive = direct.count_alive(i)
-        if direct_alive != classical.per_step_counts[i]:
-            discrepancies.append(
-                f"step {i}: time-filtration count {direct_alive} "
-                f"!= per-step classical count {classical.per_step_counts[i]}"
-            )
-
+    stability = stability_report(deformed)
+    discrepancies += stability.violations
     matched = sorted(
-        (
-            pair
-            for pair in (direct_pairs & deformed_pairs).elements()
-            if pair[1] is not None
-        )
+        (bar.birth_step, bar.death_step)
+        for bar, row in zip(deformed.bars, stability.rows)
+        if bar.death_step is not None and row.member_by_step == row.nonzero_by_step
     )
     return CorrespondenceReport(m, p, counts_match, matched, discrepancies)
 
@@ -385,37 +338,35 @@ def stability_report(report: SnvReport) -> StabilityReport:
     For each bar and each step i from its birth onward, checks whether its
     representative is homologically nonzero in the deformed complex at
     threshold kappa(i); the result must coincide with half-open interval
-    membership, and in particular a class with nonzero image at step i+1 must
-    still be a member at i+1.
+    membership.  One ``nonzero_sweep`` over kappa(0..m) tests every bar.
     """
     if report.mode != "deformed":
         raise InputError("stability_report needs a deformed-mode report")
-    cplx, schedule = report.filtered_complex, report.schedule
+    cplx, m = report.filtered_complex, report.m
+    chains = [
+        chain_from_representative(cplx, report.space, bar.representative)
+        for bar in report.bars
+    ]
+    nonzero_rows = nonzero_sweep(
+        cplx,
+        chains,
+        [report.schedule.kappa(i) for i in range(m + 1)],
+        report.p,
+        [bar.birth_step for bar in report.bars],
+    )
     rows = []
     violations: list[str] = []
-    for k, bar in enumerate(report.bars):
-        chain = chain_from_representative(cplx, report.space, bar.representative)
-        member = tuple(bar.alive_at(i) for i in range(report.m + 1))
-        nonzero = tuple(
-            i >= bar.birth_step
-            and class_is_nonzero_at(chain, cplx, schedule.kappa(i), report.p)
-            for i in range(report.m + 1)
-        )
-        last_alive = (bar.death_step - 1) if bar.death_step is not None else report.m
-        rows.append(StabilityRow(bar.birth_step, last_alive, member, nonzero))
-        for i in range(bar.birth_step, report.m + 1):
+    for k, (bar, nonzero) in enumerate(zip(report.bars, nonzero_rows)):
+        member = tuple(bar.alive_at(i) for i in range(m + 1))
+        last_alive = (bar.death_step - 1) if bar.death_step is not None else m
+        rows.append(StabilityRow(bar.birth_step, last_alive, member, tuple(nonzero)))
+        for i in range(bar.birth_step, m + 1):
             if member[i] != nonzero[i]:
                 violations.append(
                     f"bar {k}: membership at step {i} is {member[i]} but its class "
                     f"is {'nonzero' if nonzero[i] else 'zero'} there"
                 )
-        for i in range(report.m):
-            if member[i] and nonzero[i + 1] and not member[i + 1]:
-                violations.append(
-                    f"bar {k}: alive at step {i} with nonzero image at {i + 1} "
-                    f"but not a member at {i + 1}"
-                )
-    return StabilityReport(report.m, rows, violations)
+    return StabilityReport(m, rows, violations)
 
 
 def benchmark(

@@ -13,14 +13,15 @@ from snvrips import (
     DistanceSpace,
     RandomInstanceSpec,
     TimeLabels,
+    barcode_h1,
     benchmark,
     betti1_bruteforce,
     build_rips,
-    class_is_nonzero_at,
     classical_snv,
     deform,
     deformed_snv,
     emit_report,
+    nonzero_sweep,
     random_instance,
     snv_counts_oracle,
     stability_report,
@@ -50,10 +51,13 @@ def boundary_of(cplx, chain, p):
 
 def assert_representative_valid(cplx, chain, birth, death, p):
     assert boundary_of(cplx, chain, p) == {}, "representative is not a cycle"
-    assert class_is_nonzero_at(chain, cplx, birth, p), "zero class at its birth"
-    if death is not None:
-        assert class_is_nonzero_at(chain, cplx, death - 1, p)
-        assert not class_is_nonzero_at(chain, cplx, death, p)
+    if death is None:
+        assert nonzero_sweep(cplx, [chain], [birth], p, [0]) == [[True]], (
+            "zero class at its birth"
+        )
+    else:
+        nonzero = nonzero_sweep(cplx, [chain], [birth, death - 1, death], p, [0])
+        assert nonzero == [[True, True, False]]
 
 
 def test_1_worked_example_values():
@@ -107,7 +111,7 @@ def test_4_engine_matches_oracle_at_every_value():
         space, labels, p = suite_instance(seed)
         scaled = deform(space, labels)
         cap = 2 * scaled.base - 1
-        barcode = deformed_snv(space, labels, p).barcode
+        barcode = barcode_h1(build_rips(scaled.scaled, cap), p)
         for v in range(cap + 1):
             assert barcode.count_alive(v) == betti1_bruteforce(scaled.scaled, v, p), (
                 f"seed {seed}, value {v}"

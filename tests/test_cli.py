@@ -51,6 +51,32 @@ def test_compare_generated_instance(capsys):
     assert doc["discrepancies"] == []
 
 
+def test_compare_classical_cap_1_prints_the_same_report(capsys):
+    # only scale-1 births count, so capping the classical side at 1 changes
+    # nothing; seeds 1 and 3 have finite deaths to match
+    for seed in range(5):
+        args = ["compare", "--n", "12", "--m", "4", "--dmax", "2", "--seed", str(seed)]
+        assert cli.main(args + ["--strict"]) == 0
+        full = capsys.readouterr().out
+        assert cli.main(args + ["--strict", "--cap", "1"]) == 0
+        assert capsys.readouterr().out == full
+
+
+def test_deformed_stability_tsv_keeps_the_table(capsys):
+    args = ["deformed", "--n", "8", "--m", "2", "--seed", "5", "--cap", "full"]
+    assert cli.main(args + ["--stability", "--format", "tsv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert cli.main(args + ["--stability"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    counts = [f"{i}\t{c}" for i, c in enumerate(doc["per_step_counts"])]
+    rows = [
+        f"{k}\t{row['birth_step']}\t{row['last_alive_step']}"
+        for k, row in enumerate(doc["stability"]["rows"])
+    ]
+    assert rows  # seed 5 has a bar, so the table is not trivially empty
+    assert lines == counts + rows + ["violations\t0"]
+
+
 def test_compare_strict_exits_2_on_discrepancy(monkeypatch, capsys):
     fake = CorrespondenceReport(
         m=1,

@@ -6,8 +6,8 @@ from snvrips import (
     barcode_h1,
     betti1_bruteforce,
     build_rips,
-    class_is_nonzero_at,
     deform,
+    nonzero_sweep,
     reduce_with_basis,
 )
 from snvrips.persistence import Chain
@@ -26,6 +26,10 @@ def chain_boundary(cplx, chain: Chain, p: int) -> Chain:
             else:
                 acc.pop(row, None)
     return acc
+
+
+def nonzero_at(chain: Chain, cplx, v: int, p: int) -> bool:
+    return nonzero_sweep(cplx, [chain], [v], p, [0])[0][0]
 
 
 def bar_multiset(barcode):
@@ -69,7 +73,7 @@ def test_square_barcode():
     assert (bar.birth_value, bar.death_value) == (1, 2)
     edges = {cplx.simplices[pos].vertices for pos in bar.representative}
     assert edges == {(0, 1), (0, 3), (1, 2), (2, 3)}  # the four sides
-    assert barcode.exhaustive
+    assert cplx.cap >= cplx.diameter  # fully resolved: open bars are infinite
     assert barcode.count_alive(1) == 1
     assert barcode.count_alive(2) == 0
 
@@ -80,7 +84,7 @@ def test_square_capped_below_diameter():
     assert len(barcode.bars) == 1
     bar = barcode.bars[0]
     assert bar.birth_value == 1 and bar.death_value is None
-    assert not barcode.exhaustive  # open at the cap, not genuinely infinite
+    assert cplx.cap < cplx.diameter  # open at the cap, not genuinely infinite
     edges = {cplx.simplices[pos].vertices for pos in bar.representative}
     assert edges == {(0, 1), (0, 3), (1, 2), (2, 3)}
 
@@ -148,32 +152,43 @@ def test_finite_bars_die_exactly_at_death():
     for seed in range(12):
         space, labels, p = suite_instance(seed)
         cplx = build_rips(space.dist, cap=space.diameter())
-        for bar in barcode_h1(cplx, p).bars:
-            if bar.death_value is None:
-                continue
-            assert class_is_nonzero_at(bar.representative, cplx, bar.death_value - 1, p)
-            assert not class_is_nonzero_at(bar.representative, cplx, bar.death_value, p)
+        bars = [b for b in barcode_h1(cplx, p).bars if b.death_value is not None]
+        for bar in bars:
+            thresholds = [bar.death_value - 1, bar.death_value]
+            row = nonzero_sweep(cplx, [bar.representative], thresholds, p, [0])[0]
+            assert row == [True, False]
 
 
 def test_class_is_nonzero_on_square():
     cplx = build_rips(square_space().dist, cap=2)
     bar = barcode_h1(cplx, 2).bars[0]
-    assert class_is_nonzero_at(bar.representative, cplx, 1, 2)
-    assert not class_is_nonzero_at(bar.representative, cplx, 2, 2)
-    assert not class_is_nonzero_at({}, cplx, 1, 2)
+    assert nonzero_at(bar.representative, cplx, 1, 2)
+    assert not nonzero_at(bar.representative, cplx, 2, 2)
+    assert not nonzero_at({}, cplx, 1, 2)
     # a coefficient that vanishes mod p is the zero chain
     pos = next(iter(bar.representative))
-    assert not class_is_nonzero_at({pos: 2}, cplx, 1, 2)
+    assert not nonzero_at({pos: 2}, cplx, 1, 2)
+    # one sweep carries the residue across thresholds; a chain reads False
+    # before its start
+    rep = bar.representative
+    assert nonzero_sweep(cplx, [rep, rep], [1, 2], 2, [0, 1]) == [
+        [True, False],
+        [False, False],
+    ]
 
 
 def test_class_check_rejects_absent_edges():
     cplx = build_rips(square_space().dist, cap=2)
     diagonal = cplx.position((0, 2))
     with pytest.raises(InputError, match="enters at value 2"):
-        class_is_nonzero_at({diagonal: 1}, cplx, 1, 2)
+        nonzero_at({diagonal: 1}, cplx, 1, 2)
+    # the edge is present at every threshold where its chain is tested
+    assert nonzero_sweep(cplx, [{diagonal: 1}], [1, 2], 2, [1]) == [[False, True]]
     vertex = cplx.position((0,))
     with pytest.raises(InputError, match="not an edge"):
-        class_is_nonzero_at({vertex: 1}, cplx, 1, 2)
+        nonzero_at({vertex: 1}, cplx, 1, 2)
+    with pytest.raises(ValueError, match="ascending"):
+        nonzero_sweep(cplx, [], [2, 1], 2, [])
 
 
 def test_reduction_is_idempotent():

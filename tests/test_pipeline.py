@@ -7,10 +7,10 @@ from snvrips import (
     TimeLabels,
     benchmark,
     classical_snv,
+    deform,
     deformed_snv,
     snv_counts_oracle,
     stability_report,
-    time_filtration_barcode,
     verify_correspondence,
 )
 from snvrips.pipeline import CLASSICAL_NOTE, SnvBar, chain_from_representative
@@ -105,8 +105,9 @@ def test_degenerate_collapse_to_single_step():
         df = deformed_snv(space, labels, p)
         assert df.per_step_counts == cl.per_step_counts
         # N = 1 and every offset is 0: the scaled matrix is the distance matrix
-        assert df.scaled.base == 1
-        assert np.array_equal(df.scaled.scaled, space.dist)
+        scaled = deform(space, labels)
+        assert scaled.base == 1
+        assert np.array_equal(scaled.scaled, space.dist)
         for bar in df.bars:
             assert (bar.birth_step, bar.death_step) == (0, None)
             assert bar.birth_value == 1
@@ -141,7 +142,30 @@ def test_verify_correspondence_flags_corruption():
     df = deformed_snv(space, labels)
     verdict = verify_correspondence(cl, corrupted_copy(df))
     assert not verdict.ok
-    assert any("multiplicity" in line for line in verdict.discrepancies)
+    # the open-ended copy claims a class alive at step 1 that is zero there
+    assert "bar 0: membership at step 1 is True but its class is zero there" in (
+        verdict.discrepancies
+    )
+    assert verdict.matched_deaths == []
+
+
+def test_verify_correspondence_flags_every_shifted_death():
+    shifted = 0
+    for seed in range(200):
+        space, labels, p = suite_instance(seed)
+        cl = classical_snv(space, labels, p)
+        df = deformed_snv(space, labels, p)
+        for k in range(len(df.bars)):
+            try:
+                bad = corrupted_copy(df, k)
+            except ValueError:
+                continue  # a single-step bar at the horizon has no death to shift
+            shifted += 1
+            discrepancies = verify_correspondence(cl, bad).discrepancies
+            assert any(line.startswith(f"bar {k}: ") for line in discrepancies), (
+                f"seed {seed}, bar {k}: {discrepancies}"
+            )
+    assert shifted == 30
 
 
 def test_verify_correspondence_rejects_mismatched_inputs():
@@ -215,12 +239,6 @@ def test_extending_the_horizon_preserves_counts():
         assert cl.per_step_counts[labels.m + 1 :] == [base_counts[-1]] * 3
         assert df.per_step_counts == cl.per_step_counts
         assert verify_correspondence(cl, df).ok
-
-
-def test_time_filtration_barcode():
-    space, labels = apex_square()
-    barcode = time_filtration_barcode(space, labels, 2)
-    assert [(b.birth_value, b.death_value) for b in barcode.bars] == [(0, 1)]
 
 
 def test_chain_from_representative_round_trip():
