@@ -172,7 +172,8 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     bundle = resolve_input(args)
     cap = parse_cap(args.cap)
     # The cap applies to the classical side only; the deformed run keeps its
-    # default so the per-step decoding stays intact.
+    # default so the per-step decoding stays intact.  The correspondence reads
+    # only scale-1 births from the classical side, so the default cap is 1.
     classical = classical_snv(
         bundle.space,
         bundle.labels,
@@ -281,7 +282,11 @@ def build_parser() -> argparse.ArgumentParser:
         "compare", parents=[common], help="run both pipelines and verify agreement"
     )
     compare.add_argument(
-        "--cap", help="classical-side scale cap (the deformed side keeps its default)"
+        "--cap",
+        default="1",
+        help="classical-side scale cap: natural number or 'full' for each step's "
+        "diameter (default 1, where SNV births are read; the deformed side "
+        "keeps its default)",
     )
     compare.add_argument(
         "--strict", action="store_true", help="exit with status 2 on any discrepancy"

@@ -52,14 +52,30 @@ def test_compare_generated_instance(capsys):
 
 
 def test_compare_classical_cap_1_prints_the_same_report(capsys):
-    # only scale-1 births count, so capping the classical side at 1 changes
-    # nothing; seeds 1 and 3 have finite deaths to match
+    # compare stops the classical side at scale 1 by default; only scale-1
+    # births count, so the full-diameter run prints the same bytes.  Seeds 1
+    # and 3 have finite deaths to match.
     for seed in range(5):
         args = ["compare", "--n", "12", "--m", "4", "--dmax", "2", "--seed", str(seed)]
-        assert cli.main(args + ["--strict"]) == 0
+        assert cli.main(args + ["--strict", "--cap", "full"]) == 0
         full = capsys.readouterr().out
-        assert cli.main(args + ["--strict", "--cap", "1"]) == 0
+        assert cli.main(args + ["--strict"]) == 0
         assert capsys.readouterr().out == full
+
+
+def test_compare_passes_the_classical_cap(monkeypatch):
+    seen = []
+    real = cli.classical_snv
+
+    def spy(space, labels, p, cap):
+        seen.append(cap)
+        return real(space, labels, p=p, cap=cap)
+
+    monkeypatch.setattr(cli, "classical_snv", spy)
+    args = ["compare", "--n", "8", "--m", "2", "--seed", "3"]
+    for extra in ([], ["--cap", "full"], ["--cap", "3"]):
+        assert cli.main(args + extra) == 0
+    assert seen == [1, None, 3]
 
 
 def test_deformed_stability_tsv_keeps_the_table(capsys):

@@ -4,11 +4,13 @@ import pytest
 from snvrips import (
     DistanceSpace,
     InputError,
+    RandomInstanceSpec,
     TimeLabels,
     benchmark,
     classical_snv,
     deform,
     deformed_snv,
+    random_instance,
     snv_counts_oracle,
     stability_report,
     verify_correspondence,
@@ -166,6 +168,35 @@ def test_verify_correspondence_flags_every_shifted_death():
                 f"seed {seed}, bar {k}: {discrepancies}"
             )
     assert shifted == 30
+
+
+def test_classical_cap_1_checks_deaths_like_the_full_diameter():
+    # d_max = 2 makes unit graphs dense enough for classes to die within the
+    # horizon, so the death check has work to do on every prime
+    deaths = shifted = 0
+    for seed in range(200):
+        spec = RandomInstanceSpec(seed=seed, n=5 + seed % 10, m=seed % 5, d_max=2)
+        space, labels = random_instance(spec)
+        for p in (2, 3):
+            cl = classical_snv(space, labels, p, cap=1)
+            df = deformed_snv(space, labels, p)
+            verdict = verify_correspondence(cl, df)
+            assert verdict.ok, (seed, p, verdict.discrepancies)
+            full = verify_correspondence(classical_snv(space, labels, p), df)
+            assert full.per_step_counts_match == verdict.per_step_counts_match
+            assert full.matched_deaths == verdict.matched_deaths
+            deaths += len(verdict.matched_deaths)
+            for k in range(len(df.bars)):
+                try:
+                    bad = corrupted_copy(df, k)
+                except ValueError:
+                    continue  # a single-step bar at the horizon has no death to shift
+                shifted += 1
+                discrepancies = verify_correspondence(cl, bad).discrepancies
+                assert any(line.startswith(f"bar {k}: ") for line in discrepancies), (
+                    f"seed {seed}, p {p}, bar {k}: {discrepancies}"
+                )
+    assert (deaths, shifted) == (80, 280)
 
 
 def test_verify_correspondence_rejects_mismatched_inputs():

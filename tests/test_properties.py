@@ -1,12 +1,19 @@
 """Property tests: the clique builder against the all-triples reference,
-barcode alive-counts against dense Betti numbers over several primes, and the
-homology sweep against dense ranks."""
+barcode alive-counts against dense Betti numbers over several primes, the
+homology sweep against dense ranks, and the parsers on arbitrary text."""
+
+import contextlib
+import io
+import os
+import tempfile
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snvrips import barcode_h1, build_rips, nonzero_sweep
+import snvrips.cli as cli
+from snvrips import InputError, barcode_h1, build_rips, nonzero_sweep
+from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
 
 from helpers import all_triples_rips
@@ -101,3 +108,97 @@ def test_nonzero_sweep_matches_dense_rank(d, p, data):
             span = dense_boundaries(cplx, present, edge_row, p)
             raises = rank_mod_p(np.hstack((span, vector)), p) > rank_mod_p(span, p)
             assert row[v] == raises, (chain, v)
+
+
+# Parser input: mostly well-formed files whose cells are sometimes replaced
+# by negatives, values at or beyond 2^63, signs, ids, headers or stray
+# characters, plus free text built from the same pieces.
+ODD_CELLS = st.one_of(
+    st.sampled_from(["", "-", "+", "-1", "+3", ",", ">", "id", "time", "s1", "A"]),
+    st.integers(2**63 - 1, 2**64).map(str),
+    st.text(max_size=2),
+)
+TEXTS = st.lists(
+    st.one_of(ODD_CELLS, st.sampled_from([" ", "\t", ",", "\n", "\r\n", "id\ttime\n"])),
+    max_size=20,
+).map("".join)
+HORIZONS = st.sampled_from([None, 0, 2**63])
+
+
+def cell(draw, valid):
+    return draw(ODD_CELLS if draw(st.integers(0, 9)) == 0 else valid)
+
+
+def lines(draw, rows, seps=(" ", "\t")):
+    """Rows of cells joined with a drawn separator and line end; a row may be
+    dropped or repeated."""
+    sep = draw(st.sampled_from(seps))
+    text = [sep.join(row) for row in rows]
+    if text and draw(st.integers(0, 9)) == 0:
+        k = draw(st.integers(0, len(text) - 1))
+        text[k:k + 1] = draw(st.sampled_from([[], [text[k], text[k]]]))
+    return draw(st.sampled_from(["\n", "\r\n"])).join(text)
+
+
+@st.composite
+def matrix_inputs(draw):
+    n = draw(st.integers(1, 5))
+    distance, time = st.integers(0, 4).map(str), st.integers(0, 3).map(str)
+    rows = [[cell(draw, distance) for _ in range(k)] for k in range(1, n)]
+    times = [[cell(draw, time)] for _ in range(n)]
+    return lines(draw, rows), lines(draw, times)
+
+
+@st.composite
+def sequence_inputs(draw):
+    pool = st.sampled_from(["s1", "s2", "s3", "s4"])
+    ids = draw(st.lists(pool, min_size=1, unique=True))
+    letters = st.sampled_from(["ACGT", "ACGA", "AGGA", "ACG"])
+    fasta = []
+    for rid in ids:
+        fasta += [[">" + cell(draw, st.just(rid))], [cell(draw, letters)]]
+    header = draw(st.sampled_from([["id", "time"], ["time", "id"], ["id", "date"]]))
+    time = st.integers(0, 3).map(str)
+    rows = [[cell(draw, st.just(rid)), cell(draw, time)] for rid in ids]
+    table = [header] + [row if header[0] == "id" else row[::-1] for row in rows]
+    return lines(draw, fasta), lines(draw, table, seps=("\t", ","))
+
+
+def check_parser_and_cli(parse, flags, first, second, horizon):
+    """``parse`` either succeeds or raises InputError, and ``cli.main`` on the
+    same text in files exits 1 when parsing failed.  A parsed input may still
+    be rejected later (a deformation overflowing int64), but never with an
+    exception escaping ``main``."""
+    try:
+        parse(first, second, horizon=horizon)
+        parsed = True
+    except InputError:
+        parsed = False
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [os.path.join(tmp, name) for name in ("first", "second")]
+        for path, text in zip(paths, (first, second)):
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        # deformed rejects a time label near 2^63 before looping over steps
+        argv = ["deformed", flags[0], paths[0], flags[1], paths[1]]
+        if horizon is not None:
+            argv += ["--horizon", str(horizon)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
+            io.StringIO()
+        ):
+            code = cli.main(argv)
+    assert code in ((0, 1) if parsed else (1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(matrix_inputs(), st.tuples(TEXTS, TEXTS)), HORIZONS)
+def test_parse_matrix_raises_only_input_error(texts, horizon):
+    check_parser_and_cli(parse_matrix, ("--matrix", "--times"), *texts, horizon)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sequence_inputs(), st.tuples(TEXTS, TEXTS)), HORIZONS)
+def test_parse_sequences_raises_only_input_error(texts, horizon):
+    check_parser_and_cli(
+        parse_sequences, ("--sequences", "--metadata"), *texts, horizon
+    )
