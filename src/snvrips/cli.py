@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .distance import INT64_MAX, TimeLabels
+from .distance import INT64_MAX, TimeLabels, check_horizon
 from .errors import InputError
 from .io import InputBundle, emit_report, parse_matrix, parse_sequences
 from .oracle import RandomInstanceSpec, random_instance, snv_counts_oracle
@@ -75,7 +75,8 @@ def resolve_input(
 
     Exactly one source is allowed: sequence files, matrix files, or the
     seeded generator.  ``default_spec`` supplies a generator fallback for
-    subcommands that can run without explicit input (bench).
+    subcommands that can run without explicit input (bench).  Every source
+    must pass ``check_horizon``, so all subcommands accept the same inputs.
     """
     picked = [
         flag
@@ -92,46 +93,35 @@ def resolve_input(
     if args.sequences is not None:
         if args.metadata is None:
             raise InputError("--sequences requires --metadata")
-        return parse_sequences(
-            _read(args.sequences),
-            _read(args.metadata),
-            horizon=args.horizon,
-            sources=(args.sequences, args.metadata),
+        bundle = parse_sequences(
+            _read(args.sequences), _read(args.metadata), horizon=args.horizon
         )
-    if args.matrix is not None:
+    elif args.matrix is not None:
         if args.times is None:
             raise InputError("--matrix requires --times")
-        return parse_matrix(
-            _read(args.matrix),
-            _read(args.times),
-            horizon=args.horizon,
-            sources=(args.matrix, args.times),
-        )
-
-    if args.n is not None or args.m is not None:
-        if args.n is None or args.m is None:
-            raise InputError("generated instances need both --n and --m")
-        spec = RandomInstanceSpec(seed=args.seed, n=args.n, m=args.m, d_max=args.dmax)
-    elif default_spec is not None:
-        spec = default_spec
+        bundle = parse_matrix(_read(args.matrix), _read(args.times), horizon=args.horizon)
     else:
-        raise InputError(
-            "no input given; use --sequences/--metadata, --matrix/--times, or --n/--m"
-        )
-    space, labels = random_instance(spec)
-    if args.horizon is not None:
-        if args.horizon < labels.m:
+        if args.n is not None or args.m is not None:
+            if args.n is None or args.m is None:
+                raise InputError("generated instances need both --n and --m")
+            spec = RandomInstanceSpec(seed=args.seed, n=args.n, m=args.m, d_max=args.dmax)
+        elif default_spec is not None:
+            spec = default_spec
+        else:
             raise InputError(
-                f"horizon {args.horizon} is below the largest time label "
-                f"{labels.m}; it may only extend the series"
+                "no input given; use --sequences/--metadata, --matrix/--times, or --n/--m"
             )
-        labels = TimeLabels(args.horizon, labels.by_id)
-    return InputBundle(
-        "generated",
-        space,
-        labels,
-        sources=(f"seed={spec.seed} n={spec.n} m={spec.m} d_max={spec.d_max}",),
-    )
+        space, labels = random_instance(spec)
+        if args.horizon is not None:
+            if args.horizon < labels.m:
+                raise InputError(
+                    f"horizon {args.horizon} is below the generator's m = {labels.m}; "
+                    "it may only extend the series"
+                )
+            labels = TimeLabels(args.horizon, labels.by_id)
+        bundle = InputBundle(space, labels)
+    check_horizon(bundle.space, bundle.labels.m)
+    return bundle
 
 
 def _attach_provenance(report, bundle: InputBundle) -> None:

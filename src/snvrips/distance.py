@@ -126,6 +126,13 @@ class TimeLabels:
         """Labels aligned with the given id order; errors on a missing point."""
         return np.array([self.of(pid) for pid in point_ids], dtype=np.int64)
 
+    def step_blocks(self, point_ids: Sequence[str]) -> list[tuple[int, int]]:
+        """Half-open step ranges [s, e) covering 0..m over which the point set
+        {label <= i} stays that of step s: one block per distinct label, plus
+        the empty steps before the first."""
+        starts = sorted({0, *self.vector(point_ids).tolist()})
+        return list(zip(starts, starts[1:] + [self.m + 1]))
+
 
 @dataclass(frozen=True)
 class ScaledDistanceMatrix:
@@ -180,20 +187,27 @@ class ScaleSchedule:
         return None
 
 
-def deform(space: DistanceSpace, labels: TimeLabels) -> ScaledDistanceMatrix:
-    """Fold time labels into the distance matrix as exact 1/N offsets.
+def check_horizon(space: DistanceSpace, m: int) -> int:
+    """The offset base N for horizon m, once N*max(h, 1) + m fits in int64.
 
-    Raises InputError when N*max(h, 1) + m, which bounds every deformed value
-    and N itself, does not fit in int64, rather than letting the matrix wrap
-    around.
+    That sum bounds every deformed value and N itself.  Raises InputError
+    otherwise, so an input ``deform`` cannot represent is rejected by every
+    subcommand rather than wrapped around or looped over step by step.
     """
-    base = time_offset_base(labels.m)
+    base = time_offset_base(m)
     h = max(space.diameter(), 1)
-    if base * h + labels.m > INT64_MAX:
+    if base * h + m > INT64_MAX:
         raise InputError(
             f"deformed distances overflow int64: N*max(h, 1) + m = "
-            f"{base}*{h} + {labels.m} exceeds {INT64_MAX}"
+            f"{base}*{h} + {m} exceeds {INT64_MAX}"
         )
+    return base
+
+
+def deform(space: DistanceSpace, labels: TimeLabels) -> ScaledDistanceMatrix:
+    """Fold time labels into the distance matrix as exact 1/N offsets; see
+    ``check_horizon`` for the int64 bound."""
+    base = check_horizon(space, labels.m)
     lab = labels.vector(space.point_ids)
     scaled = base * space.dist + np.maximum.outer(lab, lab)
     if scaled.size:
@@ -202,17 +216,15 @@ def deform(space: DistanceSpace, labels: TimeLabels) -> ScaledDistanceMatrix:
 
 
 def dedupe_zero_distance(
-    point_ids: Sequence[str],
-    dist: np.ndarray,
-    labels: Mapping[str, int] | None = None,
-) -> tuple[tuple[str, ...], np.ndarray, dict[str, str], dict[str, int] | None]:
+    point_ids: Sequence[str], dist: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray, dict[str, str]]:
     """Merge points at pairwise distance 0.
 
-    Each zero-distance group keeps its lexicographically least id; when labels
-    are given the kept point takes the smallest label in the group.  Distances
-    between merged groups are the minimum over cross pairs.  Returns
-    ``(ids, matrix, merges, labels)`` where ``merges`` maps each dropped id to
-    the id it was merged into.
+    Each zero-distance group keeps its lexicographically least id, and the
+    groups are ordered by that id.  Distances between merged groups are the
+    minimum over cross pairs.  Returns ``(ids, matrix, merges)`` where
+    ``merges`` maps each dropped id to the id it was merged into; the caller
+    derives the kept points' time labels from ``merges``.
     """
     ids = list(point_ids)
     d = np.asarray(dist, dtype=np.int64)
@@ -236,7 +248,7 @@ def dedupe_zero_distance(
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
     if len(groups) == n:
-        return tuple(ids), d, {}, dict(labels) if labels is not None else None
+        return tuple(ids), d, {}
 
     # Keep groups ordered by their lexicographically least member id.
     members = sorted(groups.values(), key=lambda g: min(ids[i] for i in g))
@@ -256,14 +268,7 @@ def dedupe_zero_distance(
             new[a, b] = new[b, a] = min(
                 int(d[i, j]) for i in members[a] for j in members[b]
             )
-
-    new_labels = None
-    if labels is not None:
-        new_labels = {
-            ids[min(g, key=lambda i: ids[i])]: min(labels[ids[i]] for i in g)
-            for g in members
-        }
-    return tuple(kept_ids), new, merges, new_labels
+    return tuple(kept_ids), new, merges
 
 
 def build_space_from_sequences(
@@ -292,5 +297,5 @@ def build_space_from_sequences(
     for i in range(n):
         for j in range(i + 1, n):
             d[i, j] = d[j, i] = hamming(records[i][1], records[j][1])
-    ids2, d2, merges, _ = dedupe_zero_distance(ids, d)
+    ids2, d2, merges = dedupe_zero_distance(ids, d)
     return DistanceSpace(ids2, d2), merges

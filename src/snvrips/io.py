@@ -10,9 +10,10 @@ Matrix: the strict lower triangle of a symmetric integer matrix, one row per
 line (line k holds k entries), plus a newline-separated time vector with one
 entry per point; points are named p0, p1, ... in file order.
 
-Zero off-diagonal distances (identical sequences) are merged: the
-lexicographically least id and the smallest time label are kept, and every
-merge is recorded in the bundle.
+Zero off-diagonal distances (identical sequences) are merged by
+``dedupe_zero_distance``, which keeps each group's lexicographically least id;
+one helper then gives the kept point the smallest time label of its group,
+for both formats, and records every merge in the bundle.
 
 Output: JSON with a stable key order, or a ``step<TAB>count`` summary.
 Representatives are serialized as (vertex-id, vertex-id, coefficient) triples.
@@ -43,12 +44,10 @@ from .pipeline import (
 
 @dataclass
 class InputBundle:
-    kind: str
     space: DistanceSpace
     labels: TimeLabels
     merges: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    sources: tuple[str, ...] = ()
 
 
 def _resolve_horizon(times: dict[str, int], horizon: int | None) -> int:
@@ -61,6 +60,26 @@ def _resolve_horizon(times: dict[str, int], horizon: int | None) -> int:
             "it may only extend the series"
         )
     return horizon
+
+
+def _merged_bundle(
+    space: DistanceSpace,
+    merges: dict[str, str],
+    times: dict[str, int],
+    horizon: int | None,
+    reason: str,
+) -> InputBundle:
+    """Label each kept point with the smallest time of its merged group; the
+    horizon comes from the times before merging."""
+    labels = {pid: times[pid] for pid in space.point_ids}
+    for dropped, kept in merges.items():
+        labels[kept] = min(labels[kept], times[dropped])
+    notes = [
+        f"merged {dropped} into {kept} ({reason})"
+        for dropped, kept in sorted(merges.items())
+    ]
+    m = _resolve_horizon(times, horizon)
+    return InputBundle(space, TimeLabels(m, labels), merges, notes)
 
 
 def _parse_fasta(text: str) -> list[tuple[str, str]]:
@@ -125,10 +144,7 @@ def _parse_metadata(text: str) -> dict[str, int]:
 
 
 def parse_sequences(
-    fasta_text: str,
-    metadata_text: str,
-    horizon: int | None = None,
-    sources: tuple[str, ...] = ("<sequences>", "<metadata>"),
+    fasta_text: str, metadata_text: str, horizon: int | None = None
 ) -> InputBundle:
     """Resolve sequence records plus time metadata into a labelled space."""
     records = _parse_fasta(fasta_text)
@@ -142,25 +158,11 @@ def parse_sequences(
             raise InputError(f"metadata row for unknown sequence id {rid!r}")
 
     space, merges = build_space_from_sequences(records)
-    m = _resolve_horizon(times, horizon)
-    groups: dict[str, list[str]] = {pid: [pid] for pid in space.point_ids}
-    for dropped, kept in merges.items():
-        groups[kept].append(dropped)
-    labels = TimeLabels(
-        m, {pid: min(times[member] for member in grp) for pid, grp in groups.items()}
-    )
-    notes = [
-        f"merged {dropped} into {kept} (identical sequences)"
-        for dropped, kept in sorted(merges.items())
-    ]
-    return InputBundle("sequences", space, labels, merges, notes, sources)
+    return _merged_bundle(space, merges, times, horizon, "identical sequences")
 
 
 def parse_matrix(
-    matrix_text: str,
-    times_text: str,
-    horizon: int | None = None,
-    sources: tuple[str, ...] = ("<matrix>", "<times>"),
+    matrix_text: str, times_text: str, horizon: int | None = None
 ) -> InputBundle:
     """Resolve a lower-triangular distance file plus a time vector."""
     time_lines = [ln.strip() for ln in times_text.splitlines() if ln.strip()]
@@ -198,21 +200,9 @@ def parse_matrix(
             dist[k, j] = dist[j, k] = value
 
     ids = tuple(f"p{i}" for i in range(n))
-    raw_labels = dict(zip(ids, times_list))
-    ids2, dist2, merges, labels2 = dedupe_zero_distance(ids, dist, raw_labels)
-    m = _resolve_horizon(raw_labels, horizon)
-    notes = [
-        f"merged {dropped} into {kept} (distance 0)"
-        for dropped, kept in sorted(merges.items())
-    ]
-    return InputBundle(
-        "matrix",
-        DistanceSpace(ids2, dist2),
-        TimeLabels(m, labels2),
-        merges,
-        notes,
-        sources,
-    )
+    times = dict(zip(ids, times_list))
+    ids2, dist2, merges = dedupe_zero_distance(ids, dist)
+    return _merged_bundle(DistanceSpace(ids2, dist2), merges, times, horizon, "distance 0")
 
 
 def _bar_dict(bar) -> dict:

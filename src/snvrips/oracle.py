@@ -79,10 +79,11 @@ def snv_counts_oracle(space: DistanceSpace, labels: TimeLabels, p: int) -> list[
     """
     lab = labels.vector(space.point_ids)
     counts = []
-    for i in range(labels.m + 1):
-        keep = np.nonzero(lab <= i)[0]
+    # steps between two consecutive labels share a point set: one rank per block
+    for start, end in labels.step_blocks(space.point_ids):
+        keep = np.nonzero(lab <= start)[0]
         sub = space.dist[np.ix_(keep, keep)]
-        counts.append(betti1_bruteforce(sub, 1, p))
+        counts += [betti1_bruteforce(sub, 1, p)] * (end - start)
     return counts
 
 

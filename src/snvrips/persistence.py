@@ -1,10 +1,10 @@
 """Persistent homology in dimension 1 over F_p with representative cycles.
 
 Left-to-right column reduction of the simplicial boundary matrix, processed
-by decreasing dimension so the clearing shortcut applies: once a triangle
-column pairs with an edge row, that edge's own column is known to reduce to
-zero and is skipped.  Basis columns (V in R = D*V) are tracked for edge
-columns so that every bar comes with an explicit 1-cycle:
+by decreasing dimension so the clearing shortcut always applies: once a
+triangle column pairs with an edge row, that edge's own column is known to
+reduce to zero and is skipped.  Basis columns (V in R = D*V) are tracked for
+edge columns so that every bar comes with an explicit 1-cycle:
 
 * a (edge, triangle) pair contributes the triangle's reduced column, a cycle
   whose youngest edge is the birth edge;
@@ -47,8 +47,6 @@ class Bar:
 @dataclass
 class Barcode:
     bars: list[Bar]
-    cap: int
-    p: int
 
     def count_alive(self, v: int) -> int:
         """Bars with birth <= v < death; the open end counts as alive."""
@@ -135,18 +133,17 @@ def reduce_with_basis(
     columns: list[Chain],
     dims: list[int],
     p: int,
-    clearing: bool = True,
 ) -> ReductionResult:
     """Reduce boundary columns (given in a face-respecting order) over F_p.
 
     Columns are processed by decreasing dimension; within a dimension in
     filtration order.  Column j is repeatedly reduced against the earlier
     column owning its lowest row until the row is free or the column is zero.
-    With ``clearing`` enabled, edge columns already paired as lows of reduced
-    triangle columns are skipped and their cycle_basis entry is taken from the
-    paired triangle's reduced column (an equivalent cycle with the same
-    youngest edge).  Rows are face ranks within their own dimension; ``p``
-    picks the column kernel, F_2 bitsets or F_p dicts.
+    Edge columns already paired as lows of reduced triangle columns are always
+    skipped (clearing), and their cycle_basis entry is taken from the paired
+    triangle's reduced column: a cycle whose youngest edge is that edge.
+    Rows are face ranks within their own dimension; ``p`` picks the column
+    kernel, F_2 bitsets or F_p dicts.
     """
     if len(dims) != len(columns):
         raise ValueError("columns and dims must have equal length")
@@ -173,14 +170,12 @@ def reduce_with_basis(
                 reduced[j] = to_chain(col, faces)
                 if d == 2:
                     pairing[j] = max(reduced[j])
-                    if clearing:
-                        cleared.add(rank[pairing[j]])
+                    cleared.add(rank[pairing[j]])
             elif d == 1:
                 cycle_basis[j] = to_chain(v, own)
 
     for tri, edge in pairing.items():
-        if rank[edge] in cleared:
-            cycle_basis[edge] = dict(reduced[tri])
+        cycle_basis[edge] = dict(reduced[tri])
     return ReductionResult(pairing, cycle_basis, reduced)
 
 
@@ -211,7 +206,7 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
             max(b.representative),
         )
     )
-    return Barcode(bars, cplx.cap, p)
+    return Barcode(bars)
 
 
 def nonzero_sweep(

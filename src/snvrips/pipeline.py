@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -78,7 +78,6 @@ class SnvReport:
     caps_by_step: list[int] | None = None
     merges: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    timing: float = 0.0
     # in-memory context, not serialized
     space: DistanceSpace | None = None
     labels: TimeLabels | None = None
@@ -185,18 +184,21 @@ def classical_snv(
 ) -> SnvReport:
     """One barcode per time step; bars born at scale 1 are the SNV cycles.
 
+    Steps between two consecutive labels share one point set, so each block
+    is computed once and its bars repeated with each step as birth step.
     ``cap`` defaults to each step's full diameter; an explicit cap must be
     >= 1 or the scale-1 births are unobservable.
     """
     if cap is not None and cap < 1:
         raise InputError(f"classical cap must be >= 1, got {cap}")
-    labels.vector(space.point_ids)  # fail early on a missing label
-    start = time.perf_counter()
-    results = [_classical_step(space, labels, i, p, cap) for i in range(labels.m + 1)]
-
-    caps_by_step = [r[0] for r in results]
-    bars = [bar for _, step_bars in results for bar in step_bars]
-    counts = [len(step_bars) for _, step_bars in results]
+    caps_by_step: list[int] = []
+    counts: list[int] = []
+    bars: list[SnvBar] = []
+    for start, end in labels.step_blocks(space.point_ids):
+        step_cap, step_bars = _classical_step(space, labels, start, p, cap)
+        caps_by_step += [step_cap] * (end - start)
+        counts += [len(step_bars)] * (end - start)
+        bars += [replace(b, birth_step=i) for i in range(start, end) for b in step_bars]
     return SnvReport(
         mode="classical",
         m=labels.m,
@@ -207,7 +209,6 @@ def classical_snv(
         cap=cap,
         caps_by_step=caps_by_step,
         notes=[CLASSICAL_NOTE],
-        timing=time.perf_counter() - start,
         space=space,
         labels=labels,
     )
@@ -227,7 +228,6 @@ def deformed_snv(
     Bars born in [N, N+m] become SNV bars with birth_step = birth - N; a death
     value beyond N+m means the class is alive through the horizon.
     """
-    start = time.perf_counter()
     scaled = deform(space, labels)
     schedule = ScaleSchedule(labels.m, scaled.base)
     if cap is None:
@@ -275,7 +275,6 @@ def deformed_snv(
         bars=bars,
         point_ids=space.point_ids,
         cap=cap_value,
-        timing=time.perf_counter() - start,
         space=space,
         labels=labels,
         schedule=schedule,

@@ -238,6 +238,40 @@ def test_deformed_int64_overflow_exits_1(tmp_path, capsys):
     assert "overflow int64" in capsys.readouterr().err
 
 
+def test_labels_far_apart_finish_with_deformed_counts(tmp_path, capsys):
+    # two labels a million steps apart: one computation per label, not per step
+    matrix, times = tmp_path / "dist.txt", tmp_path / "times.txt"
+    matrix.write_text("1\n")
+    times.write_text("0\n1000000\n")
+    files = ["--matrix", str(matrix), "--times", str(times), "--format", "tsv"]
+    out = {}
+    for command in ("deformed", "classical", "oracle", "compare"):
+        strict = ["--strict"] if command == "compare" else []
+        assert cli.main([command, *files, *strict]) == 0
+        out[command] = capsys.readouterr().out.splitlines()
+    assert len(out["deformed"]) == 1_000_001
+    assert out["classical"] == out["oracle"] == out["deformed"]
+    assert out["compare"] == [f"{i}\t1" for i in range(1_000_001)] + ["discrepancies\t0"]
+
+
+@pytest.mark.parametrize("command", ["classical", "deformed", "compare", "oracle", "bench"])
+def test_horizon_beyond_int64_bound_exits_1(command, tmp_path, capsys):
+    matrix, times = tmp_path / "dist.txt", tmp_path / "times.txt"
+    matrix.write_text("1\n")
+    times.write_text(f"0\n{2**63 - 1}\n")
+    fasta, meta = tmp_path / "seqs.fa", tmp_path / "meta.tsv"
+    fasta.write_text(FASTA)
+    meta.write_text(META)
+    horizon = ["--horizon", str(2**63 - 1)]
+    for source in (
+        ["--matrix", str(matrix), "--times", str(times)],
+        ["--sequences", str(fasta), "--metadata", str(meta), *horizon],
+        ["--n", "3", "--m", "2", *horizon],
+    ):
+        assert cli.main([command, *source]) == 1
+        assert "overflow int64" in capsys.readouterr().err
+
+
 def test_deformed_cap_below_n_plus_m_rejected(capsys):
     args = ["deformed", "--n", "60", "--m", "12", "--seed", "3", "--format", "tsv"]
     assert cli.main(args + ["--cap", "105"]) == 1

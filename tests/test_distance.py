@@ -9,9 +9,10 @@ from snvrips import (
     dedupe_zero_distance,
     deform,
     hamming,
+    parse_sequences,
     time_offset_base,
 )
-from snvrips.distance import ScaleSchedule
+from snvrips.distance import ScaleSchedule, check_horizon
 
 from helpers import square_space, suite_instance
 
@@ -156,6 +157,12 @@ def test_deform_rejects_int64_overflow():
     single = DistanceSpace(("a",), np.zeros((1, 1)))
     with pytest.raises(InputError, match="overflow int64"):
         deform(single, TimeLabels(10**18, {"a": 0}))
+    # the bound is exact: N*h + m = 10^11 * 92233720 + 36854775807 = 2^63 - 1
+    m, h = 36854775807, 92233720
+    edge = DistanceSpace(("a", "b"), np.array([[0, h], [h, 0]]))
+    assert check_horizon(edge, m) == 10**11
+    with pytest.raises(InputError, match="overflow int64"):
+        check_horizon(edge, m + 1)
 
 
 def test_time_labels_validation():
@@ -173,30 +180,30 @@ def test_time_labels_validation():
 def test_dedupe_keeps_least_id_and_label():
     ids = ("z1", "a1", "m1")
     dist = np.array([[0, 0, 2], [0, 0, 3], [2, 3, 0]])
-    labels = {"z1": 0, "a1": 2, "m1": 1}
-    ids2, d2, merges, labels2 = dedupe_zero_distance(ids, dist, labels)
+    ids2, d2, merges = dedupe_zero_distance(ids, dist)
     assert ids2 == ("a1", "m1")
     assert merges == {"z1": "a1"}
-    assert labels2 == {"a1": 0, "m1": 1}  # smallest label in the merged group
     assert d2[0, 1] == 2  # minimum cross-group distance
+    # the parsers give the kept point the smallest label in the merged group
+    fasta, meta = ">z1\nAC\n>a1\nAC\n>m1\nGT\n", "id,time\nz1,0\na1,2\nm1,1\n"
+    bundle = parse_sequences(fasta, meta)
+    assert bundle.space.point_ids == ids2
+    assert bundle.labels.by_id == {"a1": 0, "m1": 1}
 
 
 def test_dedupe_no_op_without_zeros():
     space = square_space()
-    ids2, d2, merges, labels2 = dedupe_zero_distance(
-        space.point_ids, space.dist, {"a": 0, "b": 0, "c": 0, "d": 0}
-    )
+    ids2, d2, merges = dedupe_zero_distance(space.point_ids, space.dist)
     assert ids2 == space.point_ids
     assert merges == {}
     assert np.array_equal(d2, space.dist)
-    assert labels2 == {"a": 0, "b": 0, "c": 0, "d": 0}
 
 
 def test_dedupe_transitive_groups():
     # 0-distance is merged transitively even without an explicit 0 between the ends
     ids = ("a", "b", "c")
     dist = np.array([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    ids2, d2, merges, _ = dedupe_zero_distance(ids, dist)
+    ids2, d2, merges = dedupe_zero_distance(ids, dist)
     assert ids2 == ("a",)
     assert merges == {"b": "a", "c": "a"}
     assert d2.shape == (1, 1)

@@ -30,7 +30,6 @@ META = "id\ttime\ns1\t0\ns2\t0\ns3\t1\n"
 
 def test_parse_sequences_happy_path():
     bundle = parse_sequences(FASTA, META)
-    assert bundle.kind == "sequences"
     assert bundle.space.point_ids == ("s1", "s2", "s3")
     assert bundle.labels.m == 1
     assert bundle.labels.by_id == {"s1": 0, "s2": 0, "s3": 1}
@@ -91,7 +90,6 @@ def test_parse_sequences_errors():
 
 def test_parse_matrix_unit_triangle():
     bundle = parse_matrix("1\n1 1\n", "0\n0\n0\n")
-    assert bundle.kind == "matrix"
     assert bundle.space.point_ids == ("p0", "p1", "p2")
     assert np.array_equal(
         bundle.space.dist, np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]])

@@ -15,7 +15,12 @@ from snvrips import (
     stability_report,
     verify_correspondence,
 )
-from snvrips.pipeline import CLASSICAL_NOTE, SnvBar, chain_from_representative
+from snvrips.pipeline import (
+    CLASSICAL_NOTE,
+    SnvBar,
+    _classical_step,
+    chain_from_representative,
+)
 
 from helpers import (
     apex_square,
@@ -270,6 +275,21 @@ def test_extending_the_horizon_preserves_counts():
         assert cl.per_step_counts[labels.m + 1 :] == [base_counts[-1]] * 3
         assert df.per_step_counts == cl.per_step_counts
         assert verify_correspondence(cl, df).ok
+
+
+def test_label_blocks_match_a_run_per_step():
+    # labels shifted by 2 and the horizon widened: empty steps first, gaps after
+    for seed in range(0, 40, 3):
+        space, labels, p = suite_instance(seed)
+        shifted = {pid: 2 * t + 2 for pid, t in labels.by_id.items()}
+        wide = TimeLabels(2 * labels.m + 5, shifted)
+        steps = [_classical_step(space, wide, i, p, None) for i in range(wide.m + 1)]
+        report = classical_snv(space, wide, p)
+        assert report.caps_by_step == [cap for cap, _ in steps]
+        assert report.per_step_counts == [len(bars) for _, bars in steps]
+        assert report.bars == [bar for _, bars in steps for bar in bars]
+        assert snv_counts_oracle(space, wide, p) == report.per_step_counts
+        assert deformed_snv(space, wide, p).per_step_counts == report.per_step_counts
 
 
 def test_chain_from_representative_round_trip():

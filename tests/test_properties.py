@@ -1,6 +1,7 @@
 """Property tests: the clique builder against the all-triples reference,
 barcode alive-counts against dense Betti numbers over several primes, the
-homology sweep against dense ranks, and the parsers on arbitrary text."""
+homology sweep against dense ranks, zero-distance merging in both parsers, and
+the parsers on arbitrary text."""
 
 import contextlib
 import io
@@ -110,6 +111,59 @@ def test_nonzero_sweep_matches_dense_rank(d, p, data):
             assert row[v] == raises, (chain, v)
 
 
+@st.composite
+def zero_distance_groups(draw):
+    """Point ids, a group and a time per point.  Each group's members are
+    joined by a path of zero distances; other pairs inside a group may be
+    zero or not, so merging must follow the path."""
+    ids = draw(st.lists(st.text("abz019", min_size=1, max_size=3), min_size=1,
+                        max_size=8, unique=True))
+    group = draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))
+    times = draw(st.lists(st.integers(0, 5), min_size=len(ids), max_size=len(ids)))
+    n = len(ids)
+    dist = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            path = group[i] == group[j] and group[j] not in group[i + 1 : j]
+            if not path:
+                low = 0 if group[i] == group[j] else 1
+                dist[i, j] = dist[j, i] = draw(st.integers(low, 2))
+    return ids, group, times, dist
+
+
+def expected_merge(ids, group, times):
+    """Each group keeps its least id and smallest time.  Kept ids ascend once
+    anything merged; with no merge the file order stays."""
+    kept = {g: min(pid for pid, h in zip(ids, group) if h == g) for g in set(group)}
+    merges = {pid: kept[g] for pid, g in zip(ids, group) if pid != kept[g]}
+    labels = {
+        kept[g]: min(t for t, h in zip(times, group) if h == g) for g in set(group)
+    }
+    return tuple(sorted(kept.values())) if merges else tuple(ids), merges, labels
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_distance_groups())
+def test_parsers_keep_least_id_and_smallest_label_of_each_group(case):
+    ids, group, times, dist = case
+    # sequences: one distinct sequence per group, ids as drawn
+    fasta = "".join(f">{pid}\n{'ACGT'[g] * 3}\n" for pid, g in zip(ids, group))
+    meta = "id\ttime\n" + "".join(f"{pid}\t{t}\n" for pid, t in zip(ids, times))
+    # matrix: ids p0, p1, ... in file order, zero distances along each group's path
+    rows = "".join(" ".join(map(str, dist[k, :k])) + "\n" for k in range(1, len(ids)))
+    numbered = [f"p{k}" for k in range(len(ids))]
+    for bundle, names in (
+        (parse_sequences(fasta, meta), ids),
+        (parse_matrix(rows, "".join(f"{t}\n" for t in times)), numbered),
+    ):
+        point_ids, merges, labels = expected_merge(names, group, times)
+        assert bundle.space.point_ids == point_ids
+        assert bundle.merges == merges
+        assert bundle.labels.by_id == labels
+        assert bundle.labels.m == max(times)
+        assert len(bundle.notes) == len(merges)
+
+
 # Parser input: mostly well-formed files whose cells are sometimes replaced
 # by negatives, values at or beyond 2^63, signs, ids, headers or stray
 # characters, plus free text built from the same pieces.
@@ -123,6 +177,7 @@ TEXTS = st.lists(
     max_size=20,
 ).map("".join)
 HORIZONS = st.sampled_from([None, 0, 2**63])
+COMMANDS = st.sampled_from(["classical", "deformed", "compare", "oracle"])
 
 
 def cell(draw, valid):
@@ -164,7 +219,7 @@ def sequence_inputs(draw):
     return lines(draw, fasta), lines(draw, table, seps=("\t", ","))
 
 
-def check_parser_and_cli(parse, flags, first, second, horizon):
+def check_parser_and_cli(parse, flags, first, second, horizon, command):
     """``parse`` either succeeds or raises InputError, and ``cli.main`` on the
     same text in files exits 1 when parsing failed.  A parsed input may still
     be rejected later (a deformation overflowing int64), but never with an
@@ -179,8 +234,8 @@ def check_parser_and_cli(parse, flags, first, second, horizon):
         for path, text in zip(paths, (first, second)):
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
-        # deformed rejects a time label near 2^63 before looping over steps
-        argv = ["deformed", flags[0], paths[0], flags[1], paths[1]]
+        # every subcommand rejects a time label near 2^63 before looping over steps
+        argv = [command, flags[0], paths[0], flags[1], paths[1]]
         if horizon is not None:
             argv += ["--horizon", str(horizon)]
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(
@@ -191,14 +246,14 @@ def check_parser_and_cli(parse, flags, first, second, horizon):
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(matrix_inputs(), st.tuples(TEXTS, TEXTS)), HORIZONS)
-def test_parse_matrix_raises_only_input_error(texts, horizon):
-    check_parser_and_cli(parse_matrix, ("--matrix", "--times"), *texts, horizon)
+@given(st.one_of(matrix_inputs(), st.tuples(TEXTS, TEXTS)), HORIZONS, COMMANDS)
+def test_parse_matrix_raises_only_input_error(texts, horizon, command):
+    check_parser_and_cli(parse_matrix, ("--matrix", "--times"), *texts, horizon, command)
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.one_of(sequence_inputs(), st.tuples(TEXTS, TEXTS)), HORIZONS)
-def test_parse_sequences_raises_only_input_error(texts, horizon):
+@given(st.one_of(sequence_inputs(), st.tuples(TEXTS, TEXTS)), HORIZONS, COMMANDS)
+def test_parse_sequences_raises_only_input_error(texts, horizon, command):
     check_parser_and_cli(
-        parse_sequences, ("--sequences", "--metadata"), *texts, horizon
+        parse_sequences, ("--sequences", "--metadata"), *texts, horizon, command
     )
