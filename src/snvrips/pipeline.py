@@ -19,6 +19,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -266,12 +267,11 @@ def deformed_snv(
             )
         )
 
-    counts = [sum(b.alive_at(i) for b in bars) for i in range(labels.m + 1)]
     return SnvReport(
         mode="deformed",
         m=labels.m,
         p=p,
-        per_step_counts=counts,
+        per_step_counts=alive_counts(bars, labels.m),
         bars=bars,
         point_ids=space.point_ids,
         cap=cap_value,
@@ -280,6 +280,16 @@ def deformed_snv(
         schedule=schedule,
         filtered_complex=cplx,
     )
+
+
+def alive_counts(bars: list[SnvBar], m: int) -> list[int]:
+    """|SNV_i| for i = 0..m: bars with birth_step <= i < death_step, from a
+    difference array over the bars' (birth, death) steps."""
+    delta = [0] * (m + 2)
+    for bar in bars:
+        delta[bar.birth_step] += 1
+        delta[m + 1 if bar.death_step is None else bar.death_step] -= 1
+    return list(accumulate(delta[:-1]))
 
 
 def verify_correspondence(
@@ -346,10 +356,11 @@ def stability_report(report: SnvReport) -> StabilityReport:
         chain_from_representative(cplx, report.space, bar.representative)
         for bar in report.bars
     ]
+    base = report.schedule.base  # kappa(i) = N + i for steps i <= m
     nonzero_rows = nonzero_sweep(
         cplx,
         chains,
-        [report.schedule.kappa(i) for i in range(m + 1)],
+        range(base, base + m + 1),
         report.p,
         [bar.birth_step for bar in report.bars],
     )

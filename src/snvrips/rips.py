@@ -5,7 +5,11 @@ from the upper triangle of the thresholded matrix, and the triangles through
 vertex i are the edges among i's higher-numbered neighbours, so no vertex
 triple outside the graph is ever examined.  Simplices are ordered by (value,
 dimension, vertex tuple) with one lexsort; the order is total and
-face-respecting, so downstream matrix reduction is deterministic.
+face-respecting, so downstream matrix reduction is deterministic.  The
+builder also gives each edge and triangle its faces as ranks (a simplex's
+rank counts the simplices of its dimension before it), found with
+``searchsorted`` on edge keys, so the reduction reads boundaries from arrays
+instead of looking faces up one at a time.
 """
 
 from __future__ import annotations
@@ -36,6 +40,12 @@ class FilteredComplex:
     largest pairwise distance of the underlying matrix, so ``cap >= diameter``
     means the filtration is fully resolved and open bars are genuinely
     infinite rather than merely open at the cap.
+
+    ``by_dim[d][r]`` is the position of the rank-r simplex of dimension d.
+    ``faces[d - 1][r]`` holds the ranks of that d-simplex's faces in boundary
+    order, for d = 1, 2: face k drops vertex k and has sign (-1)^k, so edge
+    (i, j) has the vertices j, i and triangle (i, j, k) the edges (j, k),
+    (i, k), (i, j).  A vertex's rank is its index.
     """
 
     simplices: list[Simplex]
@@ -43,6 +53,8 @@ class FilteredComplex:
     n_points: int
     diameter: int
     index: dict[tuple[int, ...], int]
+    by_dim: tuple[np.ndarray, np.ndarray, np.ndarray]
+    faces: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.simplices)
@@ -86,16 +98,30 @@ def build_rips(dist, cap: int) -> FilteredComplex:
     v0 = np.concatenate((np.arange(n), ei, ti))
     v1 = np.concatenate((pad[:n], ej, tj))
     v2 = np.concatenate((pad, tk))
-    order = np.lexsort((v2, v1, v0, dim, value)).tolist()
+    order = np.lexsort((v2, v1, v0, dim, value))
+
+    # Ranks: edges and triangles, each in filtration order, as indices into
+    # (ei, ej) and (ti, tj, tk).  np.nonzero lists edges in row-major order,
+    # so their keys i * n + j ascend and searchsorted finds each face.
+    by_dim = tuple(np.flatnonzero(dim[order] == k) for k in range(3))
+    edge_at = order[by_dim[1]] - n
+    tri_at = order[by_dim[2]] - n - ei.size
+    edge_rank = np.empty(ei.size, dtype=np.int64)
+    edge_rank[edge_at] = np.arange(ei.size)
+    face_keys = np.column_stack((tj * n + tk, ti * n + tk, ti * n + tj))[tri_at]
+    faces = (
+        np.column_stack((ej, ei))[edge_at],
+        edge_rank[np.searchsorted(ei * n + ej, face_keys)],
+    )
 
     verts = [(i,) for i in range(n)]
     verts += zip(ei.tolist(), ej.tolist())
     verts += zip(ti.tolist(), tj.tolist(), tk.tolist())
     values = value.tolist()
-    simplices = [Simplex(verts[k], values[k]) for k in order]
+    simplices = [Simplex(verts[k], values[k]) for k in order.tolist()]
     index = {s.vertices: pos for pos, s in enumerate(simplices)}
     diameter = int(d.max()) if n >= 2 else 0
-    return FilteredComplex(simplices, cap, n, diameter, index)
+    return FilteredComplex(simplices, cap, n, diameter, index, by_dim, faces)
 
 
 def restrict_to_step(space: DistanceSpace, labels: TimeLabels, i: int) -> DistanceSpace:

@@ -14,6 +14,7 @@ from snvrips import (
     random_instance,
 )
 from snvrips.pipeline import SnvReport
+from snvrips.rips import boundary_column
 
 
 def square_space() -> DistanceSpace:
@@ -68,7 +69,8 @@ def suite_instance(seed: int) -> tuple[DistanceSpace, TimeLabels, int]:
 
 
 def all_triples_rips(dist, cap: int) -> FilteredComplex:
-    """Reference Rips complex: tests every vertex pair and triple against the cap."""
+    """Reference Rips complex: tests every vertex pair and triple against the
+    cap, and finds each face's rank by its vertex tuple."""
     d = np.asarray(dist, dtype=np.int64)
     n = d.shape[0]
     rows = d.tolist()
@@ -82,8 +84,24 @@ def all_triples_rips(dist, cap: int) -> FilteredComplex:
             simplices.append(Simplex((i, j, k), value))
     simplices.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
     index = {s.vertices: pos for pos, s in enumerate(simplices)}
+    by_dim = tuple(
+        np.array([pos for pos, s in enumerate(simplices) if s.dim == k], dtype=np.int64)
+        for k in range(3)
+    )
+    rank = {simplices[pos].vertices: r for ps in by_dim for r, pos in enumerate(ps)}
+    faces = tuple(
+        np.array(
+            [
+                [rank[s.vertices[:drop] + s.vertices[drop + 1 :]] for drop in range(k + 1)]
+                for s in simplices
+                if s.dim == k
+            ],
+            dtype=np.int64,
+        ).reshape(-1, k + 1)
+        for k in (1, 2)
+    )
     diameter = int(d.max()) if n >= 2 else 0
-    return FilteredComplex(simplices, cap, n, diameter, index)
+    return FilteredComplex(simplices, cap, n, diameter, index, by_dim, faces)
 
 
 def corrupted_copy(report: SnvReport, bar_index: int = 0) -> SnvReport:
@@ -103,3 +121,40 @@ def corrupted_copy(report: SnvReport, bar_index: int = 0) -> SnvReport:
     bars[bar_index] = shifted
     counts = [sum(b.alive_at(i) for b in bars) for i in range(report.m + 1)]
     return replace(report, bars=bars, per_step_counts=counts)
+
+
+def chain_boundary(cplx: FilteredComplex, chain: dict[int, int], p: int) -> dict[int, int]:
+    """The boundary of a chain keyed by position, mod p."""
+    acc: dict[int, int] = {}
+    for pos, coeff in chain.items():
+        for row, val in boundary_column(cplx, pos, p).items():
+            nv = (acc.get(row, 0) + coeff * val) % p
+            if nv:
+                acc[row] = nv
+            else:
+                acc.pop(row, None)
+    return acc
+
+
+def standard_reduction(columns: list[dict[int, int]], p: int) -> list[dict[int, int]]:
+    """Reference reduction over F_p: every column, left to right, is reduced
+    against the earlier column owning its lowest row until that row is free
+    or the column is zero.  Columns and rows are positions; there is no
+    clearing, no cohomology and no apparent pair."""
+    reduced: list[dict[int, int]] = []
+    owner: dict[int, int] = {}  # lowest row -> column
+    for j, column in enumerate(columns):
+        col = {row: c % p for row, c in column.items() if c % p}
+        while col:
+            low = max(col)
+            k = owner.get(low)
+            if k is None:
+                owner[low] = j
+                break
+            c = col[low] * pow(reduced[k][low], p - 2, p) % p
+            for row, val in reduced[k].items():
+                col[row] = (col.get(row, 0) - c * val) % p
+                if not col[row]:
+                    del col[row]
+        reduced.append(col)
+    return reduced

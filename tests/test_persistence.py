@@ -11,21 +11,15 @@ from snvrips import (
     reduce_with_basis,
 )
 from snvrips.persistence import Chain
-from snvrips.rips import boundary_column, boundary_matrix
+from snvrips.rips import boundary_matrix
 
-from helpers import square_space, suite_instance, unit_triangle
-
-
-def chain_boundary(cplx, chain: Chain, p: int) -> Chain:
-    acc: Chain = {}
-    for pos, coeff in chain.items():
-        for row, val in boundary_column(cplx, pos, p).items():
-            nv = (acc.get(row, 0) + coeff * val) % p
-            if nv:
-                acc[row] = nv
-            else:
-                acc.pop(row, None)
-    return acc
+from helpers import (
+    chain_boundary,
+    square_space,
+    standard_reduction,
+    suite_instance,
+    unit_triangle,
+)
 
 
 def nonzero_at(chain: Chain, cplx, v: int, p: int) -> bool:
@@ -192,6 +186,80 @@ def test_mod_3_coefficients():
     chain = result.cycle_basis[5]
     assert chain_boundary(cplx, chain, 3) == {}
     assert set(chain.values()) <= {1, 2}
+
+
+def test_signs_over_f3():
+    # square sides (0,1), (0,3), (1,2), (2,3) at positions 4-7: over F_3 the
+    # side (0,3) runs against the others, so it carries -1 = 2
+    cycle = {4: 1, 5: 2, 6: 1, 7: 1}
+    for cap in (1, 2):
+        cplx = build_rips(square_space().dist, cap=cap)
+        bars = barcode_h1(cplx, 3).bars
+        assert [bar.representative for bar in bars] == [cycle]
+    # at cap 2 the triangle (0,2,3) kills it, after one addition of (0,1,2)
+    # scaled by 2
+    cplx = build_rips(square_space().dist, cap=2)
+    result = reduce_with_basis(boundary_matrix(cplx, 3), [s.dim for s in cplx.simplices], 3)
+    assert result.pairing == {10: 8, 11: 9, 12: 7}
+    assert result.reduced[12] == cycle
+    assert result.reduced[10] == {6: 1, 8: 2, 4: 1}  # (1,2) - (0,2) + (0,1)
+
+
+def run_both(cplx, p):
+    dims = [s.dim for s in cplx.simplices]
+    columns = boundary_matrix(cplx, p)
+    return reduce_with_basis(columns, dims, p), standard_reduction(columns, p)
+
+
+def test_empty_complex():
+    for n in (0, 1):
+        cplx = build_rips(np.zeros((n, n), dtype=np.int64), cap=0)
+        for p in (2, 3):
+            result = reduce_with_basis(boundary_matrix(cplx, p), [0] * n, p)
+            assert (result.pairing, result.cycle_basis) == ({}, {})
+            assert result.reduced == [{}] * n
+            assert barcode_h1(cplx, p).bars == []
+
+
+def test_edges_without_triangles_are_all_essential():
+    # the 2x3 grid 0-1-2 over 3-4-5 at cap 1: two squares and no triangle
+    grid = {(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)}
+    d = np.full((6, 6), 2, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for i, j in grid:
+        d[i, j] = d[j, i] = 1
+    cplx = build_rips(d, cap=1)
+    closing = {cplx.position((3, 4)), cplx.position((4, 5))}
+    for p in (2, 3):
+        result, reduced = run_both(cplx, p)
+        assert result.pairing == {}
+        assert set(result.cycle_basis) == closing
+        for edge, chain in result.cycle_basis.items():
+            assert max(chain) == edge and chain_boundary(cplx, chain, p) == {}
+        # the five spanning-tree edges keep their reduced columns
+        assert result.reduced == reduced
+        assert sum(1 for col in result.reduced if col) == 5
+        bars = barcode_h1(cplx, p).bars
+        assert [(b.birth_value, b.death_value) for b in bars] == [(1, None)] * 2
+
+
+def test_coboundary_that_needs_an_addition():
+    # edges (0,3), (2,3) enter at 1, (0,1), (1,2) at 2 and (0,2), (1,3) at 3
+    # (positions 4-9); all four triangles at 3 (positions 10-13).  The class
+    # born at (1,2) has (0,1,2) as its oldest coface, which the younger edge
+    # (0,2) already took as an apparent pair; so its coboundary takes an
+    # addition, and it pairs with (0,2,3) instead.
+    d = np.array([[0, 2, 3, 1], [2, 0, 2, 3], [3, 2, 0, 1], [1, 3, 1, 0]])
+    cplx = build_rips(d, cap=3)
+    named = {pos: cplx.simplices[pos].vertices for pos in (7, 8, 10, 12)}
+    assert named == {7: (1, 2), 8: (0, 2), 10: (0, 1, 2), 12: (0, 2, 3)}
+    for p in (2, 3):
+        result, reduced = run_both(cplx, p)
+        assert result.pairing == {10: 8, 11: 9, 12: 7}
+        assert result.reduced == reduced
+        assert chain_boundary(cplx, result.reduced[12], p) == {}
+        bars = barcode_h1(cplx, p).bars
+        assert [(b.birth_value, b.death_value) for b in bars] == [(2, 3)]
 
 
 def test_fields_agree_when_oracle_does():

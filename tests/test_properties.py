@@ -1,7 +1,8 @@
-"""Property tests: the clique builder against the all-triples reference,
-barcode alive-counts against dense Betti numbers over several primes, the
-homology sweep against dense ranks, zero-distance merging in both parsers, and
-the parsers on arbitrary text."""
+"""Property tests: the clique builder against the all-triples reference, the
+reduction engine against a plain standard reduction, barcode alive-counts
+against dense Betti numbers over several primes, the homology sweep against
+dense ranks, per-step counts against a brute-force count, zero-distance
+merging in both parsers, and the parsers on arbitrary text."""
 
 import contextlib
 import io
@@ -13,11 +14,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snvrips.cli as cli
-from snvrips import InputError, barcode_h1, build_rips, nonzero_sweep
+from snvrips import InputError, barcode_h1, build_rips, nonzero_sweep, reduce_with_basis
 from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
+from snvrips.pipeline import SnvBar, alive_counts
+from snvrips.rips import boundary_matrix
 
-from helpers import all_triples_rips
+from helpers import all_triples_rips, chain_boundary, standard_reduction
 
 
 @st.composite
@@ -40,7 +43,55 @@ def test_clique_builder_matches_all_triples_reference(d, cap):
         built, reference = build_rips(d, c), all_triples_rips(d, c)
         assert built.simplices == reference.simplices
         assert built.index == reference.index
+        for got, want in zip(built.by_dim + built.faces, reference.by_dim + reference.faces):
+            assert np.array_equal(got, want)
         assert built.diameter == reference.diameter
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(max_n=9, max_value=5), st.sampled_from([2, 3, 5, 7]))
+def test_engine_matches_standard_reduction(d, p):
+    diameter = int(d.max()) if d.shape[0] >= 2 else 0
+    below_all = int(d[d > 0].min()) - 1 if diameter else 0
+    for cap in (0, below_all, (below_all + diameter) // 2, diameter):
+        cplx = build_rips(d, cap)
+        dims = [s.dim for s in cplx.simplices]
+        columns = boundary_matrix(cplx, p)
+        result = reduce_with_basis(columns, dims, p)
+        reduced = standard_reduction(columns, p)
+
+        pairing = {j: max(col) for j, col in enumerate(reduced) if dims[j] == 2 and col}
+        assert result.pairing == pairing
+        # a column that is no death triangle and no H_0 death reduces to zero
+        assert result.reduced == reduced
+        unpaired = {
+            j for j, col in enumerate(reduced) if dims[j] == 1 and not col
+        } - set(pairing.values())
+        assert set(result.cycle_basis) - set(pairing.values()) == unpaired
+        for edge in unpaired:
+            chain = result.cycle_basis[edge]
+            assert max(chain) == edge
+            assert chain_boundary(cplx, chain, p) == {}
+
+
+@st.composite
+def bar_sets(draw):
+    """A horizon m and bars with birth <= m and death in (birth, m] or None."""
+    m = draw(st.integers(0, 12))
+    bars = []
+    for _ in range(draw(st.integers(0, 8))):
+        birth = draw(st.integers(0, m))
+        death = draw(st.one_of(st.none(), st.integers(birth + 1, m + 1)))
+        death = None if death == m + 1 else death
+        bars.append(SnvBar(birth, death, 0, None, ()))
+    return m, bars
+
+
+@settings(max_examples=200, deadline=None)
+@given(bar_sets())
+def test_alive_counts_match_brute_force(m_and_bars):
+    m, bars = m_and_bars
+    assert alive_counts(bars, m) == [sum(b.alive_at(i) for b in bars) for i in range(m + 1)]
 
 
 @settings(max_examples=100, deadline=None)
