@@ -29,9 +29,9 @@ picks only the column kernel, which owns the inner loop: over F_2 a column
 is a Python int bitset (pivot ``bit_length() - 1``, addition by XOR), over
 other primes a dict keyed by rank.
 
-``nonzero_sweep`` checks the deaths from outside: it keeps its own echelon
-of triangle boundaries, grown once over ascending thresholds, and reports
-whether each given 1-chain lies outside that span at each threshold.
+``nonzero_sweep`` checks the deaths from outside: over the same face ranks it
+grows its own echelon of triangle boundaries once over ascending thresholds,
+and reports whether each 1-chain lies outside that span at each threshold.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from .errors import InputError
 
 # boundary_matrix is no longer read here; it stays importable under this
 # module because perfbench/spans.py traces it by this name.
-from .rips import FilteredComplex, boundary_column, boundary_matrix  # noqa: F401
+from .rips import FilteredComplex, boundary_matrix  # noqa: F401
 
 Chain = dict[int, int]
 
@@ -420,41 +420,46 @@ def nonzero_sweep(
     Entry [k][i] is True iff chain k is outside the span of the boundaries of
     the triangles with value <= thresholds[i]; chain k is tested from
     thresholds[starts[k]] on, where every edge of it must be present, and
-    reads False before.  One echelon of triangle boundaries grows in
-    filtration order over the ascending thresholds, and each chain's residue
-    is carried from one threshold to the next: a residue reduced against a
-    smaller span stays valid as the span grows.
+    reads False before.  Chains are keyed by position and reduced in edge
+    ranks against one echelon of triangle boundaries, grown in rank order;
+    each residue is carried from one threshold to the next, since a residue
+    reduced against a smaller span stays valid as the span grows.
     """
     if any(a > b for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be ascending")
-    residues: list[Chain] = []
+    if not chains:
+        return []
+    edge_pos = cplx.by_dim[1]
+    residues: list[Chain] = []  # edge rank -> coefficient
     for chain, start in zip(chains, starts):
         residue = {}
         for pos, coeff in chain.items():
-            s = cplx.simplices[pos]
-            if s.dim != 1:
+            rank = int(np.searchsorted(edge_pos, pos))
+            if edge_pos[rank : rank + 1].tolist() != [pos]:
                 raise InputError(f"chain entry at position {pos} is not an edge")
+            s = cplx.simplices[pos]
             if start < len(thresholds) and s.value > thresholds[start]:
                 raise InputError(
                     f"edge {s.vertices} enters at value {s.value}, "
                     f"after scale {thresholds[start]}"
                 )
             if coeff % p:
-                residue[pos] = coeff % p
+                residue[rank] = coeff % p
         residues.append(residue)
 
+    # faces are read one triangle at a time: the sweep may stop long before the last
+    tri_pos, tri_faces = cplx.by_dim[2], cplx.faces[1]
     echelon: dict[int, Chain] = {}  # pivot row -> normalized column
     nonzero = [[False] * len(thresholds) for _ in chains]
-    pos = 0
+    t = 0
     for i, v in enumerate(thresholds):
-        while pos < len(cplx.simplices) and cplx.simplices[pos].value <= v:
-            if cplx.simplices[pos].dim == 2:
-                col = boundary_column(cplx, pos, p)
-                low = _free_low(col, echelon, p)
-                if low is not None:
-                    inv = pow(col[low], p - 2, p)
-                    echelon[low] = {r: val * inv % p for r, val in col.items()}
-            pos += 1
+        while t < len(tri_pos) and cplx.simplices[tri_pos[t]].value <= v:
+            col = dict(zip(tri_faces[t].tolist(), (1, p - 1, 1)))
+            low = _free_low(col, echelon, p)
+            if low is not None:
+                inv = pow(col[low], p - 2, p)
+                echelon[low] = {r: val * inv % p for r, val in col.items()}
+            t += 1
         for k, residue in enumerate(residues):
             if i >= starts[k]:
                 nonzero[k][i] = _free_low(residue, echelon, p) is not None

@@ -28,6 +28,7 @@ from .distance import (
     ScaleSchedule,
     TimeLabels,
     deform,
+    time_offset_base,
 )
 from .errors import InputError
 from .persistence import Chain, barcode_h1, nonzero_sweep
@@ -82,7 +83,6 @@ class SnvReport:
     # in-memory context, not serialized
     space: DistanceSpace | None = None
     labels: TimeLabels | None = None
-    schedule: ScaleSchedule | None = None
     filtered_complex: FilteredComplex | None = None
 
 
@@ -148,11 +148,16 @@ def chain_from_representative(
     cplx: FilteredComplex, space: DistanceSpace, representative: Representative
 ) -> Chain:
     """Translate an id-labelled 1-chain back to complex positions."""
-    idx = space.id_index
+    idx, n = space.id_index, cplx.n_points
+    heads, tails = cplx.faces[0].T  # edge (i, j), i < j, has the faces j, i
+    keys = tails * n + heads
     chain = {}
     for a, b, coeff in representative:
-        key = tuple(sorted((idx[a], idx[b])))
-        chain[cplx.position(key)] = coeff
+        i, j = sorted((idx.get(a, -1), idx.get(b, -1)))  # -1: an unknown id
+        rank = np.flatnonzero(keys == i * n + j)
+        if not rank.size:
+            raise InputError(f"pair ({a!r}, {b!r}) is not an edge of the complex")
+        chain[int(cplx.by_dim[1][rank[0]])] = coeff
     return chain
 
 
@@ -277,7 +282,6 @@ def deformed_snv(
         cap=cap_value,
         space=space,
         labels=labels,
-        schedule=schedule,
         filtered_complex=cplx,
     )
 
@@ -356,7 +360,7 @@ def stability_report(report: SnvReport) -> StabilityReport:
         chain_from_representative(cplx, report.space, bar.representative)
         for bar in report.bars
     ]
-    base = report.schedule.base  # kappa(i) = N + i for steps i <= m
+    base = time_offset_base(m)  # kappa(i) = N + i for steps i <= m
     nonzero_rows = nonzero_sweep(
         cplx,
         chains,

@@ -8,8 +8,8 @@ dimension, vertex tuple) with one lexsort; the order is total and
 face-respecting, so downstream matrix reduction is deterministic.  The
 builder also gives each edge and triangle its faces as ranks (a simplex's
 rank counts the simplices of its dimension before it), found with
-``searchsorted`` on edge keys, so the reduction reads boundaries from arrays
-instead of looking faces up one at a time.
+``searchsorted`` on edge keys.  These arrays are the only boundary
+representation: every reader of a face, the reduction included, uses them.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ class Simplex(NamedTuple):
 
 @dataclass
 class FilteredComplex:
-    """Simplices in filtration order with a face-position lookup.
+    """Simplices in filtration order, with each simplex's faces as ranks.
 
     ``cap`` is inclusive: no simplex has value > cap.  ``diameter`` is the
     largest pairwise distance of the underlying matrix, so ``cap >= diameter``
@@ -52,15 +52,11 @@ class FilteredComplex:
     cap: int
     n_points: int
     diameter: int
-    index: dict[tuple[int, ...], int]
     by_dim: tuple[np.ndarray, np.ndarray, np.ndarray]
     faces: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.simplices)
-
-    def position(self, vertices: tuple[int, ...]) -> int:
-        return self.index[vertices]
 
 
 def build_rips(dist, cap: int) -> FilteredComplex:
@@ -119,9 +115,8 @@ def build_rips(dist, cap: int) -> FilteredComplex:
     verts += zip(ti.tolist(), tj.tolist(), tk.tolist())
     values = value.tolist()
     simplices = [Simplex(verts[k], values[k]) for k in order.tolist()]
-    index = {s.vertices: pos for pos, s in enumerate(simplices)}
     diameter = int(d.max()) if n >= 2 else 0
-    return FilteredComplex(simplices, cap, n, diameter, index, by_dim, faces)
+    return FilteredComplex(simplices, cap, n, diameter, by_dim, faces)
 
 
 def restrict_to_step(space: DistanceSpace, labels: TimeLabels, i: int) -> DistanceSpace:
@@ -135,18 +130,13 @@ def restrict_to_step(space: DistanceSpace, labels: TimeLabels, i: int) -> Distan
     return DistanceSpace(ids, sub)
 
 
-def boundary_column(cplx: FilteredComplex, position: int, p: int) -> dict[int, int]:
-    """Sparse boundary of one simplex: face position -> coefficient mod p."""
-    verts = cplx.simplices[position].vertices
-    col: dict[int, int] = {}
-    if len(verts) == 1:
-        return col
-    for drop in range(len(verts)):
-        face = verts[:drop] + verts[drop + 1 :]
-        col[cplx.position(face)] = 1 if drop % 2 == 0 else p - 1
-    return col
-
-
 def boundary_matrix(cplx: FilteredComplex, p: int) -> list[dict[int, int]]:
-    """One sparse column per simplex in filtration order, mod p."""
-    return [boundary_column(cplx, pos, p) for pos in range(len(cplx))]
+    """One sparse column per simplex in filtration order, mod p, faces in
+    boundary order."""
+    columns: list[dict[int, int]] = [{} for _ in range(len(cplx))]
+    for d in (1, 2):
+        signs = [1 if k % 2 == 0 else p - 1 for k in range(d + 1)]
+        face_pos = cplx.by_dim[d - 1][cplx.faces[d - 1]].tolist()
+        for pos, faces in zip(cplx.by_dim[d].tolist(), face_pos):
+            columns[pos] = dict(zip(faces, signs))
+    return columns

@@ -14,7 +14,6 @@ from snvrips import (
     random_instance,
 )
 from snvrips.pipeline import SnvReport
-from snvrips.rips import boundary_column
 
 
 def square_space() -> DistanceSpace:
@@ -83,7 +82,6 @@ def all_triples_rips(dist, cap: int) -> FilteredComplex:
         if value <= cap:
             simplices.append(Simplex((i, j, k), value))
     simplices.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
-    index = {s.vertices: pos for pos, s in enumerate(simplices)}
     by_dim = tuple(
         np.array([pos for pos, s in enumerate(simplices) if s.dim == k], dtype=np.int64)
         for k in range(3)
@@ -101,7 +99,7 @@ def all_triples_rips(dist, cap: int) -> FilteredComplex:
         for k in (1, 2)
     )
     diameter = int(d.max()) if n >= 2 else 0
-    return FilteredComplex(simplices, cap, n, diameter, index, by_dim, faces)
+    return FilteredComplex(simplices, cap, n, diameter, by_dim, faces)
 
 
 def corrupted_copy(report: SnvReport, bar_index: int = 0) -> SnvReport:
@@ -123,11 +121,21 @@ def corrupted_copy(report: SnvReport, bar_index: int = 0) -> SnvReport:
     return replace(report, bars=bars, per_step_counts=counts)
 
 
+def position(cplx: FilteredComplex, vertices: tuple[int, ...]) -> int:
+    """The position of the simplex with these vertices, by a scan."""
+    return next(pos for pos, s in enumerate(cplx.simplices) if s.vertices == vertices)
+
+
 def chain_boundary(cplx: FilteredComplex, chain: dict[int, int], p: int) -> dict[int, int]:
-    """The boundary of a chain keyed by position, mod p."""
+    """The boundary of a chain keyed by position, mod p.  Faces come from each
+    simplex's vertex tuple (face k drops vertex k, sign (-1)^k), not from the
+    builder's face ranks."""
     acc: dict[int, int] = {}
     for pos, coeff in chain.items():
-        for row, val in boundary_column(cplx, pos, p).items():
+        verts = cplx.simplices[pos].vertices
+        for drop in range(len(verts) if len(verts) > 1 else 0):  # a vertex has none
+            row = position(cplx, verts[:drop] + verts[drop + 1 :])
+            val = 1 if drop % 2 == 0 else p - 1
             nv = (acc.get(row, 0) + coeff * val) % p
             if nv:
                 acc[row] = nv

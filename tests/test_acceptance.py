@@ -30,27 +30,15 @@ from snvrips import (
 )
 from snvrips.distance import ScaleSchedule
 from snvrips.pipeline import chain_from_representative
-from snvrips.rips import boundary_column, restrict_to_step
+from snvrips.rips import restrict_to_step
 
-from helpers import square_space, suite_instance
+from helpers import chain_boundary, square_space, suite_instance
 
 SUITE_SEEDS = range(200)
 
 
-def boundary_of(cplx, chain, p):
-    acc = {}
-    for pos, coeff in chain.items():
-        for row, val in boundary_column(cplx, pos, p).items():
-            nv = (acc.get(row, 0) + coeff * val) % p
-            if nv:
-                acc[row] = nv
-            else:
-                acc.pop(row, None)
-    return acc
-
-
 def assert_representative_valid(cplx, chain, birth, death, p):
-    assert boundary_of(cplx, chain, p) == {}, "representative is not a cycle"
+    assert chain_boundary(cplx, chain, p) == {}, "representative is not a cycle"
     if death is None:
         assert nonzero_sweep(cplx, [chain], [birth], p, [0]) == [[True]], (
             "zero class at its birth"

@@ -15,6 +15,7 @@ from snvrips.rips import boundary_matrix
 
 from helpers import (
     chain_boundary,
+    position,
     square_space,
     standard_reduction,
     suite_instance,
@@ -156,12 +157,12 @@ def test_class_is_nonzero_on_square():
 
 def test_class_check_rejects_absent_edges():
     cplx = build_rips(square_space().dist, cap=2)
-    diagonal = cplx.position((0, 2))
+    diagonal = position(cplx, (0, 2))
     with pytest.raises(InputError, match="enters at value 2"):
         nonzero_at({diagonal: 1}, cplx, 1, 2)
     # the edge is present at every threshold where its chain is tested
     assert nonzero_sweep(cplx, [{diagonal: 1}], [1, 2], 2, [1]) == [[False, True]]
-    vertex = cplx.position((0,))
+    vertex = position(cplx, (0,))
     with pytest.raises(InputError, match="not an edge"):
         nonzero_at({vertex: 1}, cplx, 1, 2)
     with pytest.raises(ValueError, match="ascending"):
@@ -229,7 +230,7 @@ def test_edges_without_triangles_are_all_essential():
     for i, j in grid:
         d[i, j] = d[j, i] = 1
     cplx = build_rips(d, cap=1)
-    closing = {cplx.position((3, 4)), cplx.position((4, 5))}
+    closing = {position(cplx, (3, 4)), position(cplx, (4, 5))}
     for p in (2, 3):
         result, reduced = run_both(cplx, p)
         assert result.pairing == {}

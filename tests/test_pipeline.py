@@ -7,6 +7,7 @@ from snvrips import (
     RandomInstanceSpec,
     TimeLabels,
     benchmark,
+    build_rips,
     classical_snv,
     deform,
     deformed_snv,
@@ -304,6 +305,18 @@ def test_chain_from_representative_round_trip():
             sorted((idx[a], idx[b]))
         )
         assert got == coeff
+
+
+def test_chain_from_representative_names_a_bad_pair():
+    space = square_space()
+    cplx = build_rips(space.dist, cap=1)  # the diagonals (a, c), (b, d) are above the cap
+    assert chain_from_representative(cplx, space, (("b", "a", 2),)) == {4: 2}
+    with pytest.raises(InputError, match=r"pair \('a', 'c'\) is not an edge"):
+        chain_from_representative(cplx, space, (("a", "b", 1), ("a", "c", 1)))
+    with pytest.raises(InputError, match=r"pair \('a', 'a'\) is not an edge"):
+        chain_from_representative(cplx, space, (("a", "a", 1),))
+    with pytest.raises(InputError, match=r"pair \('a', 'z'\) is not an edge"):
+        chain_from_representative(cplx, space, (("a", "z", 1),))
 
 
 def test_benchmark_smoke():

@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from snvrips import InputError, Simplex, build_rips, restrict_to_step
-from snvrips.rips import boundary_column, boundary_matrix
+from snvrips.rips import boundary_matrix
 
-from helpers import apex_square, square_space, square_labels, suite_instance, unit_triangle
+from helpers import (
+    apex_square,
+    position,
+    square_labels,
+    square_space,
+    suite_instance,
+    unit_triangle,
+)
 
 
 def test_unit_triangle_complex():
@@ -16,7 +23,7 @@ def test_unit_triangle_complex():
     ]
     assert [s.value for s in cplx.simplices] == [0, 0, 0, 1, 1, 1, 1]
     assert cplx.diameter == 1
-    assert cplx.position((0, 2)) == 4
+    assert position(cplx, (0, 2)) == 4
 
 
 def test_two_points_cap_zero():
@@ -55,7 +62,7 @@ def test_simplex_order_is_value_dim_lex():
         if s.dim == 2:
             for drop in range(3):
                 face = s.vertices[:drop] + s.vertices[drop + 1 :]
-                assert cplx.position(face) < pos
+                assert position(cplx, face) < pos
 
 
 def test_lower_cap_complex_is_prefix_of_higher():
@@ -76,24 +83,17 @@ def test_build_rips_rejects_bad_input():
 
 
 def test_boundary_of_edge_and_triangle():
+    # positions: 0-2 vertices, 3-5 edges (0,1), (0,2), (1,2), 6 the triangle;
+    # face k drops vertex k and has sign (-1)^k, listed in that order
     cplx = build_rips(unit_triangle().dist, cap=1)
-    edge_pos = cplx.position((0, 1))
-    assert boundary_column(cplx, edge_pos, 2) == {
-        cplx.position((0,)): 1,
-        cplx.position((1,)): 1,
-    }
-    assert boundary_column(cplx, edge_pos, 3) == {
-        cplx.position((1,)): 1,
-        cplx.position((0,)): 2,
-    }
-    tri_pos = cplx.position((0, 1, 2))
-    assert boundary_column(cplx, tri_pos, 3) == {
-        cplx.position((1, 2)): 1,
-        cplx.position((0, 2)): 2,
-        cplx.position((0, 1)): 1,
-    }
-    vertex_pos = cplx.position((2,))
-    assert boundary_column(cplx, vertex_pos, 2) == {}
+    for p in (2, 3):
+        assert [list(col.items()) for col in boundary_matrix(cplx, p)] == [
+            [], [], [],
+            [(1, 1), (0, p - 1)],
+            [(2, 1), (0, p - 1)],
+            [(2, 1), (1, p - 1)],
+            [(5, 1), (4, p - 1), (3, 1)],
+        ]
 
 
 def test_boundary_of_boundary_is_zero():
