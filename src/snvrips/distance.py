@@ -13,6 +13,7 @@ per-step correspondence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,7 +84,7 @@ class DistanceSpace:
     def n(self) -> int:
         return len(self.point_ids)
 
-    @property
+    @cached_property
     def id_index(self) -> dict[str, int]:
         return {pid: i for i, pid in enumerate(self.point_ids)}
 
@@ -229,6 +230,10 @@ def dedupe_zero_distance(
     ids = list(point_ids)
     d = np.asarray(dist, dtype=np.int64)
     n = len(ids)
+    zi, zj = np.nonzero(np.triu(d == 0, k=1))
+    if not zi.size:
+        return tuple(ids), d, {}
+
     parent = list(range(n))
 
     def find(i: int) -> int:
@@ -237,18 +242,14 @@ def dedupe_zero_distance(
             i = parent[i]
         return i
 
-    for i in range(n):
-        for j in range(i + 1, n):
-            if d[i, j] == 0:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
+    for i, j in zip(zi.tolist(), zj.tolist()):
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[rj] = ri
 
     groups: dict[int, list[int]] = {}
     for i in range(n):
         groups.setdefault(find(i), []).append(i)
-    if len(groups) == n:
-        return tuple(ids), d, {}
 
     # Keep groups ordered by their lexicographically least member id.
     members = sorted(groups.values(), key=lambda g: min(ids[i] for i in g))
@@ -261,14 +262,14 @@ def dedupe_zero_distance(
             if i != keep:
                 merges[ids[i]] = ids[keep]
 
-    k = len(members)
-    new = np.zeros((k, k), dtype=np.int64)
-    for a in range(k):
-        for b in range(a + 1, k):
-            new[a, b] = new[b, a] = min(
-                int(d[i, j]) for i in members[a] for j in members[b]
-            )
-    return tuple(kept_ids), new, merges
+    # Cross-group minima: reduce the group-sorted matrix over row blocks, then
+    # over column blocks, and mirror the upper triangle.
+    order = [i for g in members for i in g]
+    starts = np.cumsum([0] + [len(g) for g in members[:-1]])
+    sub = d[np.ix_(order, order)]
+    new = np.minimum.reduceat(np.minimum.reduceat(sub, starts, axis=0), starts, axis=1)
+    new = np.triu(new, k=1)
+    return tuple(kept_ids), new + new.T, merges
 
 
 def build_space_from_sequences(

@@ -161,6 +161,20 @@ def parse_sequences(
     return _merged_bundle(space, merges, times, horizon, "identical sequences")
 
 
+def _raise_bad_cell(k: int, cells: list[str]) -> None:
+    """Name the first cell of matrix line k, in line order, that is not an
+    integer, is negative or exceeds int64."""
+    for cell in cells:
+        try:
+            value = int(cell)
+        except ValueError:
+            raise InputError(f"matrix line {k}: {cell!r} is not an integer") from None
+        if value < 0:
+            raise InputError(f"matrix line {k}: negative distance {value}")
+        if value > INT64_MAX:
+            raise InputError(f"matrix line {k}: distance {value} exceeds int64")
+
+
 def parse_matrix(
     matrix_text: str, times_text: str, horizon: int | None = None
 ) -> InputBundle:
@@ -188,16 +202,14 @@ def parse_matrix(
     for k, cells in enumerate(rows, start=1):
         if len(cells) != k:
             raise InputError(f"matrix line {k}: expected {k} entries, got {len(cells)}")
-        for j, cell in enumerate(cells):
-            try:
-                value = int(cell)
-            except ValueError:
-                raise InputError(f"matrix line {k}: {cell!r} is not an integer") from None
-            if value < 0:
-                raise InputError(f"matrix line {k}: negative distance {value}")
-            if value > INT64_MAX:
-                raise InputError(f"matrix line {k}: distance {value} exceeds int64")
-            dist[k, j] = dist[j, k] = value
+        try:
+            values = [int(cell) for cell in cells]
+        except ValueError:
+            values = None
+        if values is None or min(values) < 0 or max(values) > INT64_MAX:
+            _raise_bad_cell(k, cells)
+        dist[k, :k] = values
+    dist += dist.T
 
     ids = tuple(f"p{i}" for i in range(n))
     times = dict(zip(ids, times_list))

@@ -385,17 +385,17 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
         p,
     )
     chain = _kernel(p).chain
-    simplices = cplx.simplices
-    edge_pos, tri_pos = cplx.by_dim[1].tolist(), cplx.by_dim[2]
+    edge_pos = cplx.by_dim[1].tolist()
+    edge_value = cplx.values[cplx.by_dim[1]].tolist()
+    tri_value = cplx.values[cplx.by_dim[2]].tolist()
 
     bars = []
     for tri, edge in core.pairs.items():
-        birth = simplices[edge_pos[edge]].value
-        death = simplices[tri_pos[tri]].value
+        birth, death = edge_value[edge], tri_value[tri]
         if birth < death:
             bars.append(Bar(birth, death, chain(core.deaths[tri], edge_pos)))
     for edge, cycle in core.cycles.items():
-        bars.append(Bar(simplices[edge_pos[edge]].value, None, chain(cycle, edge_pos)))
+        bars.append(Bar(edge_value[edge], None, chain(cycle, edge_pos)))
 
     big = cplx.cap + 1
     bars.sort(
@@ -437,10 +437,11 @@ def nonzero_sweep(
             rank = int(np.searchsorted(edge_pos, pos))
             if edge_pos[rank : rank + 1].tolist() != [pos]:
                 raise InputError(f"chain entry at position {pos} is not an edge")
-            s = cplx.simplices[pos]
-            if start < len(thresholds) and s.value > thresholds[start]:
+            value = int(cplx.values[pos])
+            if start < len(thresholds) and value > thresholds[start]:
+                edge = tuple(cplx.vertices[pos, :2].tolist())
                 raise InputError(
-                    f"edge {s.vertices} enters at value {s.value}, "
+                    f"edge {edge} enters at value {value}, "
                     f"after scale {thresholds[start]}"
                 )
             if coeff % p:
@@ -448,12 +449,12 @@ def nonzero_sweep(
         residues.append(residue)
 
     # faces are read one triangle at a time: the sweep may stop long before the last
-    tri_pos, tri_faces = cplx.by_dim[2], cplx.faces[1]
+    tri_value, tri_faces = cplx.values[cplx.by_dim[2]].tolist(), cplx.faces[1]
     echelon: dict[int, Chain] = {}  # pivot row -> normalized column
     nonzero = [[False] * len(thresholds) for _ in chains]
     t = 0
     for i, v in enumerate(thresholds):
-        while t < len(tri_pos) and cplx.simplices[tri_pos[t]].value <= v:
+        while t < len(tri_value) and tri_value[t] <= v:
             col = dict(zip(tri_faces[t].tolist(), (1, p - 1, 1)))
             low = _free_low(col, echelon, p)
             if low is not None:

@@ -137,28 +137,42 @@ class BenchmarkResult:
 def _representative_ids(
     cplx: FilteredComplex, point_ids: tuple[str, ...], chain: Chain
 ) -> Representative:
-    out = []
-    for pos in sorted(chain):
-        a, b = cplx.simplices[pos].vertices
-        out.append((point_ids[a], point_ids[b], chain[pos]))
-    return tuple(out)
+    positions = sorted(chain)
+    ends = cplx.vertices[positions, :2].tolist()
+    return tuple(
+        (point_ids[a], point_ids[b], chain[pos]) for pos, (a, b) in zip(positions, ends)
+    )
 
 
 def chain_from_representative(
     cplx: FilteredComplex, space: DistanceSpace, representative: Representative
 ) -> Chain:
     """Translate an id-labelled 1-chain back to complex positions."""
+    return _chains_from_representatives(cplx, space, [representative])[0]
+
+
+def _chains_from_representatives(
+    cplx: FilteredComplex, space: DistanceSpace, representatives: list[Representative]
+) -> list[Chain]:
+    """``chain_from_representative`` for many chains: the edge keys are
+    sorted once and every pair is looked up with one ``searchsorted``."""
     idx, n = space.id_index, cplx.n_points
     heads, tails = cplx.faces[0].T  # edge (i, j), i < j, has the faces j, i
     keys = tails * n + heads
-    chain = {}
-    for a, b, coeff in representative:
-        i, j = sorted((idx.get(a, -1), idx.get(b, -1)))  # -1: an unknown id
-        rank = np.flatnonzero(keys == i * n + j)
-        if not rank.size:
-            raise InputError(f"pair ({a!r}, {b!r}) is not an edge of the complex")
-        chain[int(cplx.by_dim[1][rank[0]])] = coeff
-    return chain
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    pairs = [(a, b) for rep in representatives for a, b, _ in rep]
+    ends = np.array([(idx.get(a, -1), idx.get(b, -1)) for a, b in pairs], dtype=np.int64)
+    ends = np.sort(ends.reshape(-1, 2), axis=1)  # -1: an unknown id, which no key matches
+    wanted = ends[:, 0] * n + ends[:, 1]
+    at = np.searchsorted(sorted_keys, wanted)
+    found = at < keys.size
+    found[found] = sorted_keys[at[found]] == wanted[found]
+    if not found.all():
+        a, b = pairs[int(np.argmin(found))]
+        raise InputError(f"pair ({a!r}, {b!r}) is not an edge of the complex")
+    positions = iter(cplx.by_dim[1][by_key[at]].tolist())
+    return [{next(positions): coeff for _, _, coeff in rep} for rep in representatives]
 
 
 def _classical_step(
@@ -356,10 +370,9 @@ def stability_report(report: SnvReport) -> StabilityReport:
     if report.mode != "deformed":
         raise InputError("stability_report needs a deformed-mode report")
     cplx, m = report.filtered_complex, report.m
-    chains = [
-        chain_from_representative(cplx, report.space, bar.representative)
-        for bar in report.bars
-    ]
+    chains = _chains_from_representatives(
+        cplx, report.space, [bar.representative for bar in report.bars]
+    )
     base = time_offset_base(m)  # kappa(i) = N + i for steps i <= m
     nonzero_rows = nonzero_sweep(
         cplx,

@@ -6,15 +6,19 @@ vertex i are the edges among i's higher-numbered neighbours, so no vertex
 triple outside the graph is ever examined.  Simplices are ordered by (value,
 dimension, vertex tuple) with one lexsort; the order is total and
 face-respecting, so downstream matrix reduction is deterministic.  The
-builder also gives each edge and triangle its faces as ranks (a simplex's
-rank counts the simplices of its dimension before it), found with
-``searchsorted`` on edge keys.  These arrays are the only boundary
-representation: every reader of a face, the reduction included, uses them.
+complex is stored as arrays in that order: each simplex's value, and its
+vertices padded with -1 to three columns.  The builder also gives each edge
+and triangle its faces as ranks (a simplex's rank counts the simplices of
+its dimension before it), found with ``searchsorted`` on edge keys.  These
+arrays are the only boundary representation: every reader of a face, the
+reduction included, uses them.  The list of ``Simplex`` tuples is a lazy
+view built on first access; no solve reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -34,7 +38,14 @@ class Simplex(NamedTuple):
 
 @dataclass
 class FilteredComplex:
-    """Simplices in filtration order, with each simplex's faces as ranks.
+    """Simplices in filtration order as arrays, with each simplex's faces as
+    ranks.
+
+    ``values[pos]`` is the value of the simplex at filtration position pos,
+    and ``vertices[pos]`` its vertices in ascending order, padded with -1 to
+    three columns; both are int64.  ``simplices`` is the same complex as a
+    list of ``Simplex`` tuples, built on first access and then cached; no
+    solve reads it.
 
     ``cap`` is inclusive: no simplex has value > cap.  ``diameter`` is the
     largest pairwise distance of the underlying matrix, so ``cap >= diameter``
@@ -48,7 +59,8 @@ class FilteredComplex:
     (i, k), (i, j).  A vertex's rank is its index.
     """
 
-    simplices: list[Simplex]
+    values: np.ndarray
+    vertices: np.ndarray
     cap: int
     n_points: int
     diameter: int
@@ -56,7 +68,15 @@ class FilteredComplex:
     faces: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.simplices)
+        return len(self.values)
+
+    @cached_property
+    def simplices(self) -> list[Simplex]:
+        dims = (self.vertices >= 0).sum(axis=1).tolist()
+        return [
+            Simplex(tuple(row[:k]), value)
+            for row, k, value in zip(self.vertices.tolist(), dims, self.values.tolist())
+        ]
 
 
 def build_rips(dist, cap: int) -> FilteredComplex:
@@ -90,8 +110,8 @@ def build_rips(dist, cap: int) -> FilteredComplex:
 
     value = np.concatenate((np.zeros(n, dtype=np.int64), d[ei, ej], tv))
     dim = np.repeat([0, 1, 2], [n, ei.size, ti.size])
-    pad = np.full(n + ei.size, -1)
-    v0 = np.concatenate((np.arange(n), ei, ti))
+    pad = np.full(n + ei.size, -1, dtype=np.int64)
+    v0 = np.concatenate((np.arange(n, dtype=np.int64), ei, ti))
     v1 = np.concatenate((pad[:n], ej, tj))
     v2 = np.concatenate((pad, tk))
     order = np.lexsort((v2, v1, v0, dim, value))
@@ -110,13 +130,9 @@ def build_rips(dist, cap: int) -> FilteredComplex:
         edge_rank[np.searchsorted(ei * n + ej, face_keys)],
     )
 
-    verts = [(i,) for i in range(n)]
-    verts += zip(ei.tolist(), ej.tolist())
-    verts += zip(ti.tolist(), tj.tolist(), tk.tolist())
-    values = value.tolist()
-    simplices = [Simplex(verts[k], values[k]) for k in order.tolist()]
+    vertices = np.column_stack((v0, v1, v2))[order]
     diameter = int(d.max()) if n >= 2 else 0
-    return FilteredComplex(simplices, cap, n, diameter, by_dim, faces)
+    return FilteredComplex(value[order], vertices, cap, n, diameter, by_dim, faces)
 
 
 def restrict_to_step(space: DistanceSpace, labels: TimeLabels, i: int) -> DistanceSpace:

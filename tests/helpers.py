@@ -98,8 +98,43 @@ def all_triples_rips(dist, cap: int) -> FilteredComplex:
         ).reshape(-1, k + 1)
         for k in (1, 2)
     )
+    values = np.array([s.value for s in simplices], dtype=np.int64)
+    vertices = np.array(
+        [s.vertices + (-1,) * (2 - s.dim) for s in simplices], dtype=np.int64
+    ).reshape(-1, 3)
     diameter = int(d.max()) if n >= 2 else 0
-    return FilteredComplex(simplices, cap, n, diameter, by_dim, faces)
+    return FilteredComplex(values, vertices, cap, n, diameter, by_dim, faces)
+
+
+def brute_force_dedupe(point_ids, dist):
+    """Reference zero-distance merge: a union-find over every pair at distance
+    0, and each cross-group distance as the minimum over its pairs, one pair
+    at a time.  Kept ids are sorted only when something merged."""
+    ids = list(point_ids)
+    d = np.asarray(dist, dtype=np.int64)
+    n = len(ids)
+    parent = list(range(n))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(n), 2):
+        if d[i, j] == 0:
+            parent[find(j)] = find(i)
+    groups = {}
+    for i in range(n):
+        groups.setdefault(find(i), []).append(i)
+    if len(groups) == n:
+        return tuple(ids), d, {}
+    members = sorted(groups.values(), key=lambda g: min(ids[i] for i in g))
+    kept = [min(g, key=lambda i: ids[i]) for g in members]
+    merges = {ids[i]: ids[k] for g, k in zip(members, kept) for i in g if i != k}
+    new = np.zeros((len(members), len(members)), dtype=np.int64)
+    for a, b in combinations(range(len(members)), 2):
+        new[a, b] = new[b, a] = min(int(d[i, j]) for i in members[a] for j in members[b])
+    return tuple(ids[k] for k in kept), new, merges
 
 
 def corrupted_copy(report: SnvReport, bar_index: int = 0) -> SnvReport:

@@ -123,6 +123,26 @@ def test_parse_matrix_errors():
         parse_matrix("1\n", "")
 
 
+def test_parse_matrix_names_the_first_bad_cell_in_line_order():
+    # a line is checked cell by cell: the first bad cell decides the message
+    times = "0\n0\n0\n"
+    with pytest.raises(InputError, match="line 2: negative distance -1"):
+        parse_matrix("1\n-1 x\n", times)
+    with pytest.raises(InputError, match="line 2: 'x' is not an integer"):
+        parse_matrix("1\nx -1\n", times)
+    with pytest.raises(InputError, match="line 2: 'x' is not an integer"):
+        parse_matrix(f"1\nx {2**63}\n", times)
+    with pytest.raises(InputError, match="line 2: negative distance -1"):
+        parse_matrix(f"1\n-1 {2**63}\n", times)
+    with pytest.raises(InputError, match=f"line 2: distance {2**63} exceeds int64"):
+        parse_matrix(f"1\n{2**63} x\n", times)
+    # lines are checked in order, each for its length before its cells
+    with pytest.raises(InputError, match="line 1: negative distance -1"):
+        parse_matrix("-1\nx x\n", times)
+    with pytest.raises(InputError, match="line 2: expected 2 entries, got 1"):
+        parse_matrix("1\nx\n", times)
+
+
 def test_parse_matrix_rejects_entries_beyond_int64():
     with pytest.raises(InputError, match="exceeds int64"):
         parse_matrix(f"{2**63}\n", "0\n1\n")

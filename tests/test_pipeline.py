@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import snvrips.pipeline
 from snvrips import (
     DistanceSpace,
     InputError,
@@ -317,6 +318,27 @@ def test_chain_from_representative_names_a_bad_pair():
         chain_from_representative(cplx, space, (("a", "a", 1),))
     with pytest.raises(InputError, match=r"pair \('a', 'z'\) is not an edge"):
         chain_from_representative(cplx, space, (("a", "z", 1),))
+
+
+def test_solves_never_build_the_simplex_list(monkeypatch):
+    built = []
+
+    def recording_build(*args, **kwargs):
+        built.append(build_rips(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(snvrips.pipeline, "build_rips", recording_build)
+    space, labels = random_instance(RandomInstanceSpec(seed=4, n=30, m=5, d_max=2))
+    for p in (2, 3):
+        deformed = deformed_snv(space, labels, p)
+        assert stability_report(deformed).ok
+        for cap in (None, 1):
+            assert verify_correspondence(classical_snv(space, labels, p, cap), deformed).ok
+        assert any(bar.death_step is not None for bar in deformed.bars)
+    assert len(built) > 2
+    assert all("simplices" not in cplx.__dict__ for cplx in built)
+    # the check can fail: the list is cached once something reads it
+    assert built[0].simplices and "simplices" in built[0].__dict__
 
 
 def test_benchmark_smoke():

@@ -2,7 +2,8 @@
 reduction engine against a plain standard reduction, barcode alive-counts
 against dense Betti numbers over several primes, the homology sweep against
 dense ranks, per-step counts against a brute-force count, zero-distance
-merging in both parsers, and the parsers on arbitrary text."""
+merging in both parsers and against a brute-force merge, the matrix parser's
+first bad cell, and the parsers on arbitrary text."""
 
 import contextlib
 import io
@@ -10,17 +11,25 @@ import os
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snvrips.cli as cli
 from snvrips import InputError, barcode_h1, build_rips, nonzero_sweep, reduce_with_basis
+from snvrips.distance import INT64_MAX, dedupe_zero_distance
 from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
 from snvrips.pipeline import SnvBar, alive_counts
 from snvrips.rips import boundary_matrix
 
-from helpers import all_triples_rips, chain_boundary, position, standard_reduction
+from helpers import (
+    all_triples_rips,
+    brute_force_dedupe,
+    chain_boundary,
+    position,
+    standard_reduction,
+)
 
 
 @st.composite
@@ -41,9 +50,13 @@ def test_clique_builder_matches_all_triples_reference(d, cap):
     below_all = int(d[d > 0].min()) - 1 if diameter else 0
     for c in (cap, 0, below_all, diameter):
         built, reference = build_rips(d, c), all_triples_rips(d, c)
-        assert built.simplices == reference.simplices
-        for got, want in zip(built.by_dim + built.faces, reference.by_dim + reference.faces):
+        for got, want in zip(
+            (built.values, built.vertices) + built.by_dim + built.faces,
+            (reference.values, reference.vertices) + reference.by_dim + reference.faces,
+        ):
+            assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
+        assert built.simplices == reference.simplices
         assert built.diameter == reference.diameter
 
 
@@ -212,6 +225,85 @@ def test_parsers_keep_least_id_and_smallest_label_of_each_group(case):
         assert bundle.labels.by_id == labels
         assert bundle.labels.m == max(times)
         assert len(bundle.notes) == len(merges)
+
+
+@st.composite
+def semimetrics_with_zero_chains(draw):
+    """Distinct ids and a symmetric matrix with zero diagonal whose zero
+    entries may form chains: a, b and b, c at distance 0 while a, c is not."""
+    ids = draw(st.lists(st.text("ap019", min_size=1, max_size=3), max_size=10, unique=True))
+    n = len(ids)
+    zeros = draw(st.integers(0, 4))
+    cells = st.sampled_from([0] * zeros + [1, 2, 3, 5, 8])
+    d = np.zeros((n, n), dtype=np.int64)
+    d[np.triu_indices(n, k=1)] = draw(
+        st.lists(cells, min_size=n * (n - 1) // 2, max_size=n * (n - 1) // 2)
+    )
+    chain = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    for a, b in zip(chain, chain[1:]):
+        d[min(a, b), max(a, b)] = 0
+    return ids, d + d.T
+
+
+@settings(max_examples=300, deadline=None)
+@given(semimetrics_with_zero_chains())
+def test_dedupe_matches_brute_force(case):
+    ids, d = case
+    got_ids, got_matrix, got_merges = dedupe_zero_distance(ids, d)
+    want_ids, want_matrix, want_merges = brute_force_dedupe(ids, d)
+    assert got_ids == want_ids
+    assert got_matrix.dtype == np.int64
+    assert np.array_equal(got_matrix, want_matrix)
+    assert list(got_merges.items()) == list(want_merges.items())
+
+
+def first_bad_cell(rows: list[list[str]]) -> str | None:
+    """The message for the first cell, line by line, that is not an integer,
+    is negative or exceeds int64; None when every cell is fine."""
+    for k, cells in enumerate(rows, start=1):
+        for cell in cells:
+            try:
+                value = int(cell)
+            except ValueError:
+                return f"matrix line {k}: {cell!r} is not an integer"
+            if value < 0:
+                return f"matrix line {k}: negative distance {value}"
+            if value > INT64_MAX:
+                return f"matrix line {k}: distance {value} exceeds int64"
+    return None
+
+
+MATRIX_CELLS = st.one_of(
+    st.integers(-2, 4).map(str),
+    st.sampled_from(["x", "+2", "1.5", "-0", "1_0", "\u0663", str(2**63 - 1), str(2**63)]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            *[st.lists(MATRIX_CELLS, min_size=k, max_size=k) for k in range(1, n)]
+        )
+    )
+)
+def test_parse_matrix_reports_the_first_bad_cell(rows):
+    text = "".join(" ".join(cells) + "\n" for cells in rows)
+    times = "0\n" * (len(rows) + 1)
+    message = first_bad_cell(rows)
+    if message is not None:
+        with pytest.raises(InputError) as caught:
+            parse_matrix(text, times)
+        assert str(caught.value) == message
+        return
+    n = len(rows) + 1
+    full = np.zeros((n, n), dtype=np.int64)
+    for k, cells in enumerate(rows, start=1):
+        full[k, :k] = full[:k, k] = [int(cell) for cell in cells]
+    ids, matrix, _ = brute_force_dedupe([f"p{i}" for i in range(n)], full)
+    bundle = parse_matrix(text, times)
+    assert bundle.space.point_ids == ids
+    assert np.array_equal(bundle.space.dist, matrix)
 
 
 # Parser input: mostly well-formed files whose cells are sometimes replaced

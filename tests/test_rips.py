@@ -22,6 +22,13 @@ def test_unit_triangle_complex():
         (0, 1, 2),
     ]
     assert [s.value for s in cplx.simplices] == [0, 0, 0, 1, 1, 1, 1]
+    # the list is a view of the arrays: vertices padded with -1, values
+    assert cplx.vertices.tolist() == [
+        [0, -1, -1], [1, -1, -1], [2, -1, -1],
+        [0, 1, -1], [0, 2, -1], [1, 2, -1],
+        [0, 1, 2],
+    ]
+    assert cplx.values.tolist() == [0, 0, 0, 1, 1, 1, 1]
     assert cplx.diameter == 1
     assert position(cplx, (0, 2)) == 4
 
