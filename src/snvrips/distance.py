@@ -13,7 +13,6 @@ per-step correspondence.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -83,10 +82,6 @@ class DistanceSpace:
     @property
     def n(self) -> int:
         return len(self.point_ids)
-
-    @cached_property
-    def id_index(self) -> dict[str, int]:
-        return {pid: i for i, pid in enumerate(self.point_ids)}
 
     def diameter(self) -> int:
         """Largest pairwise distance (0 for fewer than two points)."""

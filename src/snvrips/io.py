@@ -289,52 +289,56 @@ def _benchmark_dict(result: BenchmarkResult) -> dict:
     }
 
 
-def _summary_lines(report) -> list[str]:
-    if isinstance(report, SnvReport):
-        return [f"{i}\t{c}" for i, c in enumerate(report.per_step_counts)]
-    if isinstance(report, CorrespondenceReport):
-        lines = [f"{i}\t{int(ok)}" for i, ok in enumerate(report.per_step_counts_match)]
-        lines.append(f"discrepancies\t{len(report.discrepancies)}")
-        return lines
-    if isinstance(report, StabilityReport):
-        lines = [
-            f"{k}\t{row.birth_step}\t{row.last_alive_step}"
-            for k, row in enumerate(report.rows)
-        ]
-        lines.append(f"violations\t{len(report.violations)}")
-        return lines
-    if isinstance(report, BenchmarkResult):
-        return [
-            f"classical_median_seconds\t{report.classical_median:.6f}",
-            f"deformed_median_seconds\t{report.deformed_median:.6f}",
-            f"ratio\t{report.ratio:.6f}",
-        ]
-    raise InputError(f"cannot summarize report of type {type(report).__name__}")
+def _snv_lines(report: SnvReport) -> list[str]:
+    return [f"{i}\t{c}" for i, c in enumerate(report.per_step_counts)]
+
+
+def _correspondence_lines(report: CorrespondenceReport) -> list[str]:
+    lines = [f"{i}\t{int(ok)}" for i, ok in enumerate(report.per_step_counts_match)]
+    return lines + [f"discrepancies\t{len(report.discrepancies)}"]
+
+
+def _stability_lines(report: StabilityReport) -> list[str]:
+    lines = [f"{k}\t{r.birth_step}\t{r.last_alive_step}" for k, r in enumerate(report.rows)]
+    return lines + [f"violations\t{len(report.violations)}"]
+
+
+def _benchmark_lines(result: BenchmarkResult) -> list[str]:
+    return [
+        f"classical_median_seconds\t{result.classical_median:.6f}",
+        f"deformed_median_seconds\t{result.deformed_median:.6f}",
+        f"ratio\t{result.ratio:.6f}",
+    ]
+
+
+# report type -> (JSON document builder, TSV summary lines builder)
+_FORMATS = {
+    SnvReport: (_snv_dict, _snv_lines),
+    CorrespondenceReport: (_correspondence_dict, _correspondence_lines),
+    StabilityReport: (_stability_dict, _stability_lines),
+    BenchmarkResult: (_benchmark_dict, _benchmark_lines),
+}
 
 
 def emit_report(report, format: str = "json", stability: StabilityReport | None = None) -> str:
     """Serialize a report; JSON key order is fixed so output is byte-stable.
 
     Wall-clock timings are included only for benchmark results, keeping the
-    other reports deterministic for identical inputs.
+    other reports deterministic for identical inputs.  A stability table is
+    nested in an SNV report's JSON and appended to any TSV summary.
     """
+    if format not in ("json", "tsv"):
+        raise InputError(f"unknown output format {format!r}; use 'json' or 'tsv'")
+    builders = _FORMATS.get(type(report))
+    if builders is None:
+        verb = "serialize" if format == "json" else "summarize"
+        raise InputError(f"cannot {verb} report of type {type(report).__name__}")
     if format == "json":
-        if isinstance(report, SnvReport):
-            doc = _snv_dict(report)
-            if stability is not None:
-                doc["stability"] = _stability_dict(stability)
-        elif isinstance(report, CorrespondenceReport):
-            doc = _correspondence_dict(report)
-        elif isinstance(report, StabilityReport):
-            doc = _stability_dict(report)
-        elif isinstance(report, BenchmarkResult):
-            doc = _benchmark_dict(report)
-        else:
-            raise InputError(f"cannot serialize report of type {type(report).__name__}")
+        doc = builders[0](report)
+        if stability is not None and isinstance(report, SnvReport):
+            doc["stability"] = _stability_dict(stability)
         return json.dumps(doc, indent=2) + "\n"
-    if format == "tsv":
-        lines = _summary_lines(report)
-        if stability is not None:
-            lines += _summary_lines(stability)
-        return "\n".join(lines) + "\n"
-    raise InputError(f"unknown output format {format!r}; use 'json' or 'tsv'")
+    lines = builders[1](report)
+    if stability is not None:
+        lines += _stability_lines(stability)
+    return "\n".join(lines) + "\n"

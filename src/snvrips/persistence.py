@@ -97,7 +97,7 @@ def _axpy(dst: Chain, src: Chain, c: int, p: int) -> None:
             dst.pop(row, None)
 
 
-def _f2_column(rows: list[int], vals: list[int], p: int) -> int:
+def _f2_column(rows: list[int], vals: list[int]) -> int:
     col = 0
     for row in rows:
         col |= 1 << row
@@ -125,7 +125,7 @@ def _f2_chain(bits: int, positions: list[int]) -> Chain:
     return chain
 
 
-def _fp_column(rows: list[int], vals: list[int], p: int) -> Chain:
+def _fp_column(rows: list[int], vals: list[int]) -> Chain:
     return dict(zip(rows, vals))
 
 
@@ -151,7 +151,7 @@ class _Kernel(NamedTuple):
     = (column, V) to the column until its highest row has no owner or it is
     zero, and returns (column, V); V is tracked when it is given."""
 
-    column: Callable  # (rows, coefficients, p) -> column
+    column: Callable  # (rows, coefficients) -> column
     unit: Callable  # rank -> the column with a single 1 at that rank
     low: Callable  # nonzero column -> its highest row
     reduce: Callable  # (column, V or None, owner_of, p) -> (column, V)
@@ -200,12 +200,12 @@ class _Columns:
     def __len__(self) -> int:
         return len(self.ptr) - 1
 
-    def column(self, k: int, kernel: _Kernel, p: int):
+    def column(self, k: int, kernel: _Kernel):
         """Column ``k`` in the kernel's form."""
         a, b = self.ptr[k : k + 2].tolist()
-        return kernel.column(self.rows[a:b].tolist(), self.vals[a:b].tolist(), p)
+        return kernel.column(self.rows[a:b].tolist(), self.vals[a:b].tolist())
 
-    def take(self, ks: list[int], kernel: _Kernel, p: int) -> list:
+    def take(self, ks: list[int], kernel: _Kernel) -> list:
         """Columns ``ks`` in the kernel's form, gathered in one numpy step."""
         ks = np.asarray(ks, dtype=np.int64)
         starts = self.ptr[ks]
@@ -214,7 +214,7 @@ class _Columns:
         slots = np.arange(ends[-1] if len(ks) else 0) + np.repeat(starts - ends + sizes, sizes)
         rows, vals = self.rows[slots].tolist(), self.vals[slots].tolist()
         bounds = zip([0] + ends.tolist(), ends.tolist())
-        return [kernel.column(rows[a:b], vals[a:b], p) for a, b in bounds]
+        return [kernel.column(rows[a:b], vals[a:b]) for a, b in bounds]
 
 
 @dataclass
@@ -282,7 +282,7 @@ def _pair_by_cohomology(
         if e is None:
             return None
         col = reduced.get(e)
-        return (coboundaries.column(e, kernel, p) if col is None else col), None
+        return (coboundaries.column(e, kernel) if col is None else col), None
 
     essential = []
     for e, row in zip(range(n_edges - 1, -1, -1), reversed(first.tolist())):
@@ -293,7 +293,7 @@ def _pair_by_cohomology(
         elif row not in owner:
             owner[row] = e  # apparent: the pivot is free before any addition
         else:
-            col, _ = kernel.reduce(coboundaries.column(e, kernel, p), None, owner_of, p)
+            col, _ = kernel.reduce(coboundaries.column(e, kernel), None, owner_of, p)
             if col:
                 owner[kernel.low(col)] = e
                 reduced[e] = col
@@ -311,7 +311,7 @@ def _reduce(n_vertices: int, edges: _Columns, triangles: _Columns, p: int) -> _R
     pivots: dict[int, tuple] = {}
     deaths = {}
     order = sorted(pairs)
-    for t, col in zip(order, triangles.take(order, kernel, p)):
+    for t, col in zip(order, triangles.take(order, kernel)):
         col, _ = kernel.reduce(col, None, pivots.get, p)
         pivots[kernel.low(col)] = (col, None)
         deaths[t] = col
@@ -320,7 +320,7 @@ def _reduce(n_vertices: int, edges: _Columns, triangles: _Columns, p: int) -> _R
     h0_columns, cycles = {}, {}
     order = sorted(essential + [e for e, dead in enumerate(cleared) if dead])
     is_essential = set(essential)
-    for e, col in zip(order, edges.take(order, kernel, p)):
+    for e, col in zip(order, edges.take(order, kernel)):
         col, v = kernel.reduce(col, kernel.unit(e), pivots.get, p)
         if e in is_essential:
             cycles[e] = v

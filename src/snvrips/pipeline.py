@@ -10,8 +10,9 @@ membership needs.
 
 Per-step runs cannot see deaths, so ``verify_correspondence`` checks the
 deformed death steps with ``stability_report``: one sweep over the thresholds
-kappa(0..m) tests every representative against an echelon that the reduction
-never touched.
+kappa(0..m) tests the chain the engine returned for every bar against an
+echelon that the reduction never touched.  The emitted id representatives are
+checked by acceptance criterion 6 and by the benchmark gate.
 """
 
 from __future__ import annotations
@@ -80,10 +81,12 @@ class SnvReport:
     caps_by_step: list[int] | None = None
     merges: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-    # in-memory context, not serialized
+    # In-memory context, not serialized: the inputs and, for a deformed report,
+    # its complex and each bar's chain (in bars order, keyed by position in it).
     space: DistanceSpace | None = None
     labels: TimeLabels | None = None
     filtered_complex: FilteredComplex | None = None
+    chains: list[Chain] | None = None
 
 
 @dataclass
@@ -142,37 +145,6 @@ def _representative_ids(
     return tuple(
         (point_ids[a], point_ids[b], chain[pos]) for pos, (a, b) in zip(positions, ends)
     )
-
-
-def chain_from_representative(
-    cplx: FilteredComplex, space: DistanceSpace, representative: Representative
-) -> Chain:
-    """Translate an id-labelled 1-chain back to complex positions."""
-    return _chains_from_representatives(cplx, space, [representative])[0]
-
-
-def _chains_from_representatives(
-    cplx: FilteredComplex, space: DistanceSpace, representatives: list[Representative]
-) -> list[Chain]:
-    """``chain_from_representative`` for many chains: the edge keys are
-    sorted once and every pair is looked up with one ``searchsorted``."""
-    idx, n = space.id_index, cplx.n_points
-    heads, tails = cplx.faces[0].T  # edge (i, j), i < j, has the faces j, i
-    keys = tails * n + heads
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
-    pairs = [(a, b) for rep in representatives for a, b, _ in rep]
-    ends = np.array([(idx.get(a, -1), idx.get(b, -1)) for a, b in pairs], dtype=np.int64)
-    ends = np.sort(ends.reshape(-1, 2), axis=1)  # -1: an unknown id, which no key matches
-    wanted = ends[:, 0] * n + ends[:, 1]
-    at = np.searchsorted(sorted_keys, wanted)
-    found = at < keys.size
-    found[found] = sorted_keys[at[found]] == wanted[found]
-    if not found.all():
-        a, b = pairs[int(np.argmin(found))]
-        raise InputError(f"pair ({a!r}, {b!r}) is not an edge of the complex")
-    positions = iter(cplx.by_dim[1][by_key[at]].tolist())
-    return [{next(positions): coeff for _, _, coeff in rep} for rep in representatives]
 
 
 def _classical_step(
@@ -265,11 +237,12 @@ def deformed_snv(
     cplx = build_rips(scaled.scaled, cap_value)
     barcode = barcode_h1(cplx, p)
 
-    bars = []
+    bars, chains = [], []
     for bar in barcode.bars:
         birth_step = schedule.step_of_birth(bar.birth_value)
         if birth_step is None:
             continue
+        chains.append(bar.representative)
         if bar.death_value is not None and bar.death_value <= scaled.base + labels.m:
             death_step = bar.death_value - scaled.base
         else:
@@ -297,6 +270,7 @@ def deformed_snv(
         space=space,
         labels=labels,
         filtered_complex=cplx,
+        chains=chains,
     )
 
 
@@ -338,16 +312,13 @@ def verify_correspondence(
         raise InputError("reports were computed over different time labels")
 
     m, p = classical.m, classical.p
-    discrepancies: list[str] = []
-    counts_match = []
-    for i in range(m + 1):
-        same = classical.per_step_counts[i] == deformed.per_step_counts[i]
-        counts_match.append(same)
-        if not same:
-            discrepancies.append(
-                f"step {i}: classical count {classical.per_step_counts[i]} "
-                f"!= deformed count {deformed.per_step_counts[i]}"
-            )
+    cl_counts, df_counts = classical.per_step_counts, deformed.per_step_counts
+    counts_match = [a == b for a, b in zip(cl_counts, df_counts, strict=True)]
+    discrepancies = [
+        f"step {i}: classical count {cl_counts[i]} != deformed count {df_counts[i]}"
+        for i, same in enumerate(counts_match)
+        if not same
+    ]
 
     stability = stability_report(deformed)
     discrepancies += stability.violations
@@ -365,18 +336,17 @@ def stability_report(report: SnvReport) -> StabilityReport:
     For each bar and each step i from its birth onward, checks whether its
     representative is homologically nonzero in the deformed complex at
     threshold kappa(i); the result must coincide with half-open interval
-    membership.  One ``nonzero_sweep`` over kappa(0..m) tests every bar.
+    membership.  One ``nonzero_sweep`` over kappa(0..m) tests the chains the
+    engine returned (``report.chains``); the emitted id representatives are
+    checked by acceptance criterion 6 and by the benchmark gate.
     """
     if report.mode != "deformed":
         raise InputError("stability_report needs a deformed-mode report")
-    cplx, m = report.filtered_complex, report.m
-    chains = _chains_from_representatives(
-        cplx, report.space, [bar.representative for bar in report.bars]
-    )
+    m = report.m
     base = time_offset_base(m)  # kappa(i) = N + i for steps i <= m
     nonzero_rows = nonzero_sweep(
-        cplx,
-        chains,
+        report.filtered_complex,
+        report.chains,
         range(base, base + m + 1),
         report.p,
         [bar.birth_step for bar in report.bars],

@@ -161,6 +161,15 @@ def position(cplx: FilteredComplex, vertices: tuple[int, ...]) -> int:
     return next(pos for pos, s in enumerate(cplx.simplices) if s.vertices == vertices)
 
 
+def chain_of_ids(cplx: FilteredComplex, point_ids, representative) -> dict[int, int]:
+    """An id-labelled representative as a chain keyed by position, by scans."""
+    index = {pid: i for i, pid in enumerate(point_ids)}
+    return {
+        position(cplx, tuple(sorted((index[a], index[b])))): coeff
+        for a, b, coeff in representative
+    }
+
+
 def chain_boundary(cplx: FilteredComplex, chain: dict[int, int], p: int) -> dict[int, int]:
     """The boundary of a chain keyed by position, mod p.  Faces come from each
     simplex's vertex tuple (face k drops vertex k, sign (-1)^k), not from the

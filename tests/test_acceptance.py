@@ -29,10 +29,9 @@ from snvrips import (
     verify_correspondence,
 )
 from snvrips.distance import ScaleSchedule
-from snvrips.pipeline import chain_from_representative
 from snvrips.rips import restrict_to_step
 
-from helpers import chain_boundary, square_space, suite_instance
+from helpers import chain_boundary, chain_of_ids, square_space, suite_instance
 
 SUITE_SEEDS = range(200)
 
@@ -121,8 +120,8 @@ def test_5_degenerate_collapse():
                 b.birth_value for b in cl.bars
             )
             for bar in df.bars:
-                chain = chain_from_representative(
-                    df.filtered_complex, space, bar.representative
+                chain = chain_of_ids(
+                    df.filtered_complex, space.point_ids, bar.representative
                 )
                 assert_representative_valid(
                     df.filtered_complex, chain, bar.birth_value, bar.death_value, p
@@ -135,9 +134,7 @@ def test_6_representative_validity():
 
         df = deformed_snv(space, labels, p)
         for bar in df.bars:
-            chain = chain_from_representative(
-                df.filtered_complex, space, bar.representative
-            )
+            chain = chain_of_ids(df.filtered_complex, space.point_ids, bar.representative)
             assert_representative_valid(
                 df.filtered_complex, chain, bar.birth_value, bar.death_value, p
             )
@@ -146,7 +143,7 @@ def test_6_representative_validity():
         for bar in cl.bars:
             sub = restrict_to_step(space, labels, bar.birth_step)
             cplx = build_rips(sub.dist, cl.caps_by_step[bar.birth_step])
-            chain = chain_from_representative(cplx, sub, bar.representative)
+            chain = chain_of_ids(cplx, sub.point_ids, bar.representative)
             assert_representative_valid(
                 cplx, chain, bar.birth_value, bar.death_value, p
             )

@@ -7,11 +7,13 @@ from snvrips import (
     InputError,
     RandomInstanceSpec,
     TimeLabels,
+    barcode_h1,
     benchmark,
     build_rips,
     classical_snv,
     deform,
     deformed_snv,
+    parse_matrix,
     random_instance,
     snv_counts_oracle,
     stability_report,
@@ -21,11 +23,11 @@ from snvrips.pipeline import (
     CLASSICAL_NOTE,
     SnvBar,
     _classical_step,
-    chain_from_representative,
 )
 
 from helpers import (
     apex_square,
+    chain_of_ids,
     corrupted_copy,
     square_labels,
     square_space,
@@ -294,30 +296,41 @@ def test_label_blocks_match_a_run_per_step():
         assert deformed_snv(space, wide, p).per_step_counts == report.per_step_counts
 
 
-def test_chain_from_representative_round_trip():
-    space, labels = apex_square()
-    df = deformed_snv(space, labels)
-    chain = chain_from_representative(df.filtered_complex, space, df.bars[0].representative)
-    idx = space.id_index
-    for (a, b, coeff), (pos, got) in zip(
-        df.bars[0].representative, sorted(chain.items())
-    ):
-        assert df.filtered_complex.simplices[pos].vertices == tuple(
-            sorted((idx[a], idx[b]))
-        )
-        assert got == coeff
+def test_kept_chains_align_with_bars():
+    # at cap "full" the first-block filter drops bars, so a list built before
+    # it, or in any other order, pairs chains with the wrong bars
+    dropped = 0
+    for seed in range(200):
+        space, labels, p = suite_instance(seed)
+        assert classical_snv(space, labels, p).chains is None
+        for cap in (None, "full"):
+            df = deformed_snv(space, labels, p, cap)
+            assert len(df.chains) == len(df.bars)
+            for chain, bar in zip(df.chains, df.bars):
+                ids = bar.representative
+                assert chain == chain_of_ids(df.filtered_complex, df.point_ids, ids)
+            dropped += len(barcode_h1(df.filtered_complex, p).bars) - len(df.bars)
+    assert dropped > 0
 
 
-def test_chain_from_representative_names_a_bad_pair():
-    space = square_space()
-    cplx = build_rips(space.dist, cap=1)  # the diagonals (a, c), (b, d) are above the cap
-    assert chain_from_representative(cplx, space, (("b", "a", 2),)) == {4: 2}
-    with pytest.raises(InputError, match=r"pair \('a', 'c'\) is not an edge"):
-        chain_from_representative(cplx, space, (("a", "b", 1), ("a", "c", 1)))
-    with pytest.raises(InputError, match=r"pair \('a', 'a'\) is not an edge"):
-        chain_from_representative(cplx, space, (("a", "a", 1),))
-    with pytest.raises(InputError, match=r"pair \('a', 'z'\) is not an edge"):
-        chain_from_representative(cplx, space, (("a", "z", 1),))
+def test_stability_is_clean_on_merged_matrix_input():
+    # three zero-distance copies: the kept ids sort as strings (p0, p1, p10,
+    # ...) and p31 stands in for p7, so ids leave file order
+    space, labels = random_instance(RandomInstanceSpec(seed=4, n=30, m=5, d_max=2))
+    order = list(range(30)) + [0, 7, 19]
+    dist = space.dist[np.ix_(order, order)]
+    matrix = "\n".join(" ".join(map(str, dist[k, :k])) for k in range(1, len(order)))
+    times = "\n".join(str(labels.by_id[space.point_ids[i]]) for i in order)
+    bundle = parse_matrix(matrix, times)
+    assert bundle.merges == {"p30": "p0", "p7": "p31", "p32": "p19"}
+    assert bundle.space.point_ids[:3] == ("p0", "p1", "p10")
+    for p in (2, 3, 5):
+        deformed = deformed_snv(bundle.space, bundle.labels, p)
+        assert any(bar.death_step is not None for bar in deformed.bars)
+        assert stability_report(deformed).ok
+        classical = classical_snv(bundle.space, bundle.labels, p)
+        verdict = verify_correspondence(classical, deformed)
+        assert verdict.ok and len(verdict.matched_deaths) == 5
 
 
 def test_solves_never_build_the_simplex_list(monkeypatch):
