@@ -9,13 +9,11 @@ is exact integer arithmetic over a prime field.
 
 from .distance import (
     DistanceSpace,
-    ScaledDistanceMatrix,
     ScaleSchedule,
     TimeLabels,
     build_space_from_sequences,
     dedupe_zero_distance,
     deform,
-    hamming,
     time_offset_base,
 )
 from .errors import InputError
@@ -26,7 +24,7 @@ from .oracle import (
     random_instance,
     snv_counts_oracle,
 )
-from .persistence import Bar, Barcode, barcode_h1, nonzero_sweep, reduce_with_basis
+from .persistence import Bar, Barcode, barcode_h1, nonzero_sweep
 from .pipeline import (
     BenchmarkResult,
     CorrespondenceReport,
@@ -39,7 +37,7 @@ from .pipeline import (
     stability_report,
     verify_correspondence,
 )
-from .rips import FilteredComplex, Simplex, build_rips, restrict_to_step
+from .rips import FilteredComplex, build_rips, restrict_to_step
 
 __version__ = "0.1.0"
 
@@ -54,8 +52,6 @@ __all__ = [
     "InputError",
     "RandomInstanceSpec",
     "ScaleSchedule",
-    "ScaledDistanceMatrix",
-    "Simplex",
     "SnvBar",
     "SnvReport",
     "StabilityReport",
@@ -70,12 +66,10 @@ __all__ = [
     "deform",
     "deformed_snv",
     "emit_report",
-    "hamming",
     "nonzero_sweep",
     "parse_matrix",
     "parse_sequences",
     "random_instance",
-    "reduce_with_basis",
     "restrict_to_step",
     "snv_counts_oracle",
     "stability_report",

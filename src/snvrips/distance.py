@@ -131,40 +131,21 @@ class TimeLabels:
 
 
 @dataclass(frozen=True)
-class ScaledDistanceMatrix:
-    """Deformed distances in exact 1/N units: N*h(x,y) + max(D(x), D(y))."""
-
-    point_ids: tuple[str, ...]
-    base: int
-    scaled: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "point_ids", tuple(self.point_ids))
-        s = np.asarray(self.scaled, dtype=np.int64)
-        if s.size and (np.diagonal(s).any() or not np.array_equal(s, s.T)):
-            raise InputError("scaled matrix must be symmetric with zero diagonal")
-        object.__setattr__(self, "scaled", s)
-
-    @property
-    def n(self) -> int:
-        return len(self.point_ids)
-
-    def diameter(self) -> int:
-        return int(self.scaled.max()) if self.n >= 2 else 0
-
-
-@dataclass(frozen=True)
 class ScaleSchedule:
     """Scale thresholds for reading per-step homology off the deformed matrix.
 
     Index i = -1 maps to 0 (vertices only).  For i >= 0, with
-    q = i div (m+1) and r = i mod (m+1), the threshold is (q+1)*N + r: the
-    first block [N, N+m] sweeps the time steps at unit distance, the next
-    block repeats them at distance 2, and so on.
+    q = i div (m+1) and r = i mod (m+1), the threshold is (q+1)*N + r, where
+    N = ``time_offset_base(m)``: the first block [N, N+m] sweeps the time
+    steps at unit distance, the next block repeats them at distance 2, and
+    so on.
     """
 
     m: int
-    base: int
+
+    @property
+    def base(self) -> int:
+        return time_offset_base(self.m)
 
     def kappa(self, i: int) -> int:
         if i < -1:
@@ -174,12 +155,13 @@ class ScaleSchedule:
         q, r = divmod(i, self.m + 1)
         return (q + 1) * self.base + r
 
-    def step_of_birth(self, scaled_birth: int) -> int | None:
-        """Time step for a birth value in the first block [N, N+m], else None."""
-        if scaled_birth < 0:
-            raise InputError(f"scaled birth must be non-negative, got {scaled_birth}")
-        if self.base <= scaled_birth <= self.base + self.m:
-            return scaled_birth - self.base
+    def step_of(self, scaled_value: int) -> int | None:
+        """Time step of a birth or death value in the first block [N, N+m],
+        else None: a value N+i belongs to step i."""
+        if scaled_value < 0:
+            raise InputError(f"scaled value must be non-negative, got {scaled_value}")
+        if self.base <= scaled_value <= self.base + self.m:
+            return scaled_value - self.base
         return None
 
 
@@ -200,15 +182,16 @@ def check_horizon(space: DistanceSpace, m: int) -> int:
     return base
 
 
-def deform(space: DistanceSpace, labels: TimeLabels) -> ScaledDistanceMatrix:
-    """Fold time labels into the distance matrix as exact 1/N offsets; see
-    ``check_horizon`` for the int64 bound."""
+def deform(space: DistanceSpace, labels: TimeLabels) -> np.ndarray:
+    """The int64 matrix N*h(x,y) + max(D(x), D(y)), zero on the diagonal, in
+    ``space.point_ids`` order: time labels folded into the distances as exact
+    1/N offsets.  See ``check_horizon`` for the int64 bound."""
     base = check_horizon(space, labels.m)
     lab = labels.vector(space.point_ids)
     scaled = base * space.dist + np.maximum.outer(lab, lab)
     if scaled.size:
         np.fill_diagonal(scaled, 0)
-    return ScaledDistanceMatrix(space.point_ids, base, scaled)
+    return scaled
 
 
 def dedupe_zero_distance(

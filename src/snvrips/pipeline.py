@@ -24,13 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distance import (
-    DistanceSpace,
-    ScaleSchedule,
-    TimeLabels,
-    deform,
-    time_offset_base,
-)
+from .distance import DistanceSpace, ScaleSchedule, TimeLabels, deform
 from .errors import InputError
 from .persistence import Chain, barcode_h1, nonzero_sweep
 from .rips import FilteredComplex, build_rips, restrict_to_step
@@ -217,42 +211,40 @@ def deformed_snv(
     Default cap 2N-1 resolves exactly the first scale block; pass ``"full"``
     (or an explicit value) to resolve the complete barcode instead.  An
     explicit cap below N+m is rejected: it would cut the first block short.
-    Bars born in [N, N+m] become SNV bars with birth_step = birth - N; a death
-    value beyond N+m means the class is alive through the horizon.
+    ``ScaleSchedule(m).step_of`` decodes both ends of a bar: bars born in
+    [N, N+m] become SNV bars with birth_step = birth - N, and a death value
+    beyond N+m means the class is alive through the horizon.
     """
     scaled = deform(space, labels)
-    schedule = ScaleSchedule(labels.m, scaled.base)
+    schedule = ScaleSchedule(labels.m)
     if cap is None:
-        cap_value = 2 * scaled.base - 1
+        cap_value = schedule.kappa(labels.m + 1) - 1
     elif cap == "full":
-        cap_value = scaled.diameter()
+        cap_value = int(scaled.max(initial=0))
     else:
         cap_value = int(cap)
-        if cap_value < scaled.base + labels.m:
+        if cap_value < schedule.kappa(labels.m):
             raise InputError(
-                f"deformed cap {cap_value} is below N+m = {scaled.base + labels.m}; "
+                f"deformed cap {cap_value} is below N+m = {schedule.kappa(labels.m)}; "
                 "it would cut off the first scale block [N, N+m]"
             )
 
-    cplx = build_rips(scaled.scaled, cap_value)
+    cplx = build_rips(scaled, cap_value)
     barcode = barcode_h1(cplx, p)
 
     bars, chains = [], []
     for bar in barcode.bars:
-        birth_step = schedule.step_of_birth(bar.birth_value)
+        birth_step = schedule.step_of(bar.birth_value)
         if birth_step is None:
             continue
         chains.append(bar.representative)
-        if bar.death_value is not None and bar.death_value <= scaled.base + labels.m:
-            death_step = bar.death_value - scaled.base
-        else:
-            death_step = None
+        death = bar.death_value  # at or after the birth, so at or above N
         bars.append(
             SnvBar(
                 birth_step=birth_step,
-                death_step=death_step,
+                death_step=None if death is None else schedule.step_of(death),
                 birth_value=bar.birth_value,
-                death_value=bar.death_value,
+                death_value=death,
                 representative=_representative_ids(
                     cplx, space.point_ids, bar.representative
                 ),
@@ -343,11 +335,11 @@ def stability_report(report: SnvReport) -> StabilityReport:
     if report.mode != "deformed":
         raise InputError("stability_report needs a deformed-mode report")
     m = report.m
-    base = time_offset_base(m)  # kappa(i) = N + i for steps i <= m
+    schedule = ScaleSchedule(m)
     nonzero_rows = nonzero_sweep(
         report.filtered_complex,
         report.chains,
-        range(base, base + m + 1),
+        range(schedule.kappa(0), schedule.kappa(m) + 1),
         report.p,
         [bar.birth_step for bar in report.bars],
     )

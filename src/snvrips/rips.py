@@ -47,10 +47,9 @@ class FilteredComplex:
     list of ``Simplex`` tuples, built on first access and then cached; no
     solve reads it.
 
-    ``cap`` is inclusive: no simplex has value > cap.  ``diameter`` is the
-    largest pairwise distance of the underlying matrix, so ``cap >= diameter``
-    means the filtration is fully resolved and open bars are genuinely
-    infinite rather than merely open at the cap.
+    ``cap`` is inclusive: no simplex has value > cap.  Once the cap reaches
+    the matrix's largest entry the filtration is fully resolved, and open
+    bars are genuinely infinite rather than merely open at the cap.
 
     ``by_dim[d][r]`` is the position of the rank-r simplex of dimension d.
     ``faces[d - 1][r]`` holds the ranks of that d-simplex's faces in boundary
@@ -63,7 +62,6 @@ class FilteredComplex:
     vertices: np.ndarray
     cap: int
     n_points: int
-    diameter: int
     by_dim: tuple[np.ndarray, np.ndarray, np.ndarray]
     faces: tuple[np.ndarray, np.ndarray]
 
@@ -131,8 +129,7 @@ def build_rips(dist, cap: int) -> FilteredComplex:
     )
 
     vertices = np.column_stack((v0, v1, v2))[order]
-    diameter = int(d.max()) if n >= 2 else 0
-    return FilteredComplex(value[order], vertices, cap, n, diameter, by_dim, faces)
+    return FilteredComplex(value[order], vertices, cap, n, by_dim, faces)
 
 
 def restrict_to_step(space: DistanceSpace, labels: TimeLabels, i: int) -> DistanceSpace:

@@ -161,7 +161,9 @@ def changed(corpus: dict[str, dict[str, str]]) -> list[str]:
     return problems
 
 
-def _record_input(name: str, flags: tuple[str, ...], p: int) -> dict[str, str]:
+def _record_input(
+    name: str, flags: tuple[str, ...], p: int
+) -> dict[tuple[str, str], str]:
     """The cases of one input at prime p, or none if they may not be kept."""
     cases, counts = {}, {}
     for command in COMMANDS:

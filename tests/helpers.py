@@ -9,10 +9,10 @@ from snvrips import (
     DistanceSpace,
     FilteredComplex,
     RandomInstanceSpec,
-    Simplex,
     TimeLabels,
     random_instance,
 )
+from snvrips.rips import Simplex
 from snvrips.pipeline import SnvReport
 
 
@@ -102,8 +102,7 @@ def all_triples_rips(dist, cap: int) -> FilteredComplex:
     vertices = np.array(
         [s.vertices + (-1,) * (2 - s.dim) for s in simplices], dtype=np.int64
     ).reshape(-1, 3)
-    diameter = int(d.max()) if n >= 2 else 0
-    return FilteredComplex(values, vertices, cap, n, diameter, by_dim, faces)
+    return FilteredComplex(values, vertices, cap, n, by_dim, faces)
 
 
 def brute_force_dedupe(point_ids, dist):

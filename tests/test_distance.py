@@ -8,11 +8,10 @@ from snvrips import (
     build_space_from_sequences,
     dedupe_zero_distance,
     deform,
-    hamming,
     parse_sequences,
     time_offset_base,
 )
-from snvrips.distance import ScaleSchedule, check_horizon
+from snvrips.distance import ScaleSchedule, check_horizon, hamming
 
 from helpers import square_space, suite_instance
 
@@ -58,33 +57,35 @@ def test_deform_worked_values():
     space = DistanceSpace(("x", "y", "z"), dist)
     labels = TimeLabels(364, {"x": 264, "y": 132, "z": 132})
     scaled = deform(space, labels)
-    assert scaled.base == 1000
-    assert scaled.scaled[0, 1] == 1264  # h + 0.264 in 1/1000 units
-    assert scaled.scaled[0, 2] == 1264
-    assert scaled.scaled[1, 2] == 1132
-    assert (np.diagonal(scaled.scaled) == 0).all()
+    assert time_offset_base(labels.m) == 1000
+    assert scaled.dtype == np.int64
+    assert scaled[0, 1] == 1264  # h + 0.264 in 1/1000 units
+    assert scaled[0, 2] == 1264
+    assert scaled[1, 2] == 1132
+    assert (np.diagonal(scaled) == 0).all()
 
 
 def test_deform_takes_later_endpoint():
     dist = np.array([[0, 3], [3, 0]])
     space = DistanceSpace(("a", "b"), dist)
     scaled = deform(space, TimeLabels(7, {"a": 2, "b": 5}))
-    assert scaled.base == 10
-    assert scaled.scaled[0, 1] == 35  # 10*3 + max(2, 5)
+    assert time_offset_base(7) == 10
+    assert scaled[0, 1] == 35  # 10*3 + max(2, 5)
 
 
 def test_deform_recovers_both_components():
     for seed in range(25):
         space, labels, _ = suite_instance(seed)
         scaled = deform(space, labels)
+        base = time_offset_base(labels.m)
         lab = labels.vector(space.point_ids)
         for i in range(space.n):
             for j in range(space.n):
                 if i == j:
-                    assert scaled.scaled[i, j] == 0
+                    assert scaled[i, j] == 0
                     continue
-                assert scaled.scaled[i, j] // scaled.base == space.dist[i, j]
-                assert scaled.scaled[i, j] % scaled.base == max(lab[i], lab[j])
+                assert scaled[i, j] // base == space.dist[i, j]
+                assert scaled[i, j] % base == max(lab[i], lab[j])
 
 
 def test_deform_preserves_strict_distance_order():
@@ -97,11 +98,12 @@ def test_deform_preserves_strict_distance_order():
         for a in pairs:
             for b in pairs:
                 if space.dist[a] < space.dist[b]:
-                    assert scaled.scaled[a] < scaled.scaled[b]
+                    assert scaled[a] < scaled[b]
 
 
 def test_schedule_matches_closed_form():
-    sched = ScaleSchedule(364, 1000)
+    sched = ScaleSchedule(364)
+    assert sched.base == 1000
     assert sched.kappa(-1) == 0
     assert sched.kappa(0) == 1000
     assert sched.kappa(364) == 1364
@@ -114,23 +116,24 @@ def test_schedule_matches_closed_form():
 
 def test_schedule_increments_are_unit_or_block_jump():
     for m, base in ((0, 1), (4, 10), (34, 100), (364, 1000)):
-        sched = ScaleSchedule(m, base)
+        sched = ScaleSchedule(m)
+        assert sched.base == base
         values = [sched.kappa(i) for i in range(-1, 3 * (m + 1))]
         assert values == sorted(values)
         steps = {b - a for a, b in zip(values, values[1:])}
         assert steps <= {1, base - m, base}  # base only for the kappa(-1) -> kappa(0) jump
 
 
-def test_step_of_birth_inverts_first_block():
-    sched = ScaleSchedule(4, 10)
+def test_step_of_inverts_first_block():
+    sched = ScaleSchedule(4)
     for i in range(5):
-        assert sched.step_of_birth(sched.kappa(i)) == i
-    assert sched.step_of_birth(0) is None
-    assert sched.step_of_birth(9) is None
-    assert sched.step_of_birth(15) is None  # past N+m
-    assert sched.step_of_birth(20) is None
+        assert sched.step_of(sched.kappa(i)) == i
+    assert sched.step_of(0) is None
+    assert sched.step_of(9) is None
+    assert sched.step_of(15) is None  # past N+m
+    assert sched.step_of(20) is None
     with pytest.raises(InputError):
-        sched.step_of_birth(-3)
+        sched.step_of(-3)
 
 
 def test_distance_space_validation():

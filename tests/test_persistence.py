@@ -8,9 +8,9 @@ from snvrips import (
     build_rips,
     deform,
     nonzero_sweep,
-    reduce_with_basis,
+    time_offset_base,
 )
-from snvrips.persistence import Chain
+from snvrips.persistence import Chain, reduce_with_basis
 from snvrips.rips import boundary_matrix
 
 from helpers import (
@@ -58,7 +58,7 @@ def test_square_barcode():
     assert (bar.birth_value, bar.death_value) == (1, 2)
     edges = {cplx.simplices[pos].vertices for pos in bar.representative}
     assert edges == {(0, 1), (0, 3), (1, 2), (2, 3)}  # the four sides
-    assert cplx.cap >= cplx.diameter  # fully resolved: open bars are infinite
+    assert cplx.cap >= square_space().diameter()  # fully resolved: open bars are infinite
     assert barcode.count_alive(1) == 1
     assert barcode.count_alive(2) == 0
 
@@ -69,7 +69,7 @@ def test_square_capped_below_diameter():
     assert len(barcode.bars) == 1
     bar = barcode.bars[0]
     assert bar.birth_value == 1 and bar.death_value is None
-    assert cplx.cap < cplx.diameter  # open at the cap, not genuinely infinite
+    assert cplx.cap < square_space().diameter()  # open at the cap, not genuinely infinite
     edges = {cplx.simplices[pos].vertices for pos in bar.representative}
     assert edges == {(0, 1), (0, 3), (1, 2), (2, 3)}
 
@@ -84,7 +84,7 @@ def test_cycle_basis_chains_are_cycles_keyed_by_their_youngest_edge():
         space, labels, p = suite_instance(seed)
         for matrix, cap in (
             (space.dist, space.diameter()),
-            (deform(space, labels).scaled, 2 * deform(space, labels).base - 1),
+            (deform(space, labels), 2 * time_offset_base(labels.m) - 1),
         ):
             cplx = build_rips(matrix, cap=cap)
             dims = [s.dim for s in cplx.simplices]
@@ -120,10 +120,10 @@ def test_alive_counts_match_oracle_on_deformed_matrix():
     for seed in range(15):
         space, labels, p = suite_instance(seed)
         scaled = deform(space, labels)
-        cap = 2 * scaled.base - 1
-        barcode = barcode_h1(build_rips(scaled.scaled, cap=cap), p)
+        cap = 2 * time_offset_base(labels.m) - 1
+        barcode = barcode_h1(build_rips(scaled, cap=cap), p)
         for v in range(cap + 1):
-            assert barcode.count_alive(v) == betti1_bruteforce(scaled.scaled, v, p)
+            assert barcode.count_alive(v) == betti1_bruteforce(scaled, v, p)
 
 
 def test_finite_bars_die_exactly_at_death():

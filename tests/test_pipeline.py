@@ -17,6 +17,7 @@ from snvrips import (
     random_instance,
     snv_counts_oracle,
     stability_report,
+    time_offset_base,
     verify_correspondence,
 )
 from snvrips.pipeline import (
@@ -116,9 +117,8 @@ def test_degenerate_collapse_to_single_step():
         df = deformed_snv(space, labels, p)
         assert df.per_step_counts == cl.per_step_counts
         # N = 1 and every offset is 0: the scaled matrix is the distance matrix
-        scaled = deform(space, labels)
-        assert scaled.base == 1
-        assert np.array_equal(scaled.scaled, space.dist)
+        assert time_offset_base(labels.m) == 1
+        assert np.array_equal(deform(space, labels), space.dist)
         for bar in df.bars:
             assert (bar.birth_step, bar.death_step) == (0, None)
             assert bar.birth_value == 1

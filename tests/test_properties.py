@@ -3,7 +3,8 @@ reduction engine against a plain standard reduction, barcode alive-counts
 against dense Betti numbers over several primes, the homology sweep against
 dense ranks, per-step counts against a brute-force count, zero-distance
 merging in both parsers and against a brute-force merge, the matrix parser's
-first bad cell, and the parsers on arbitrary text."""
+first bad cell, the parsers on arbitrary text, a longer horizon against the
+shorter one, and the two pipelines against the oracle over F_2 to F_7."""
 
 import contextlib
 import io
@@ -16,10 +17,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snvrips.cli as cli
-from snvrips import InputError, barcode_h1, build_rips, nonzero_sweep, reduce_with_basis
+from snvrips import (
+    DistanceSpace,
+    InputError,
+    TimeLabels,
+    barcode_h1,
+    build_rips,
+    classical_snv,
+    deformed_snv,
+    nonzero_sweep,
+    snv_counts_oracle,
+    verify_correspondence,
+)
 from snvrips.distance import INT64_MAX, dedupe_zero_distance
 from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
+from snvrips.persistence import reduce_with_basis
 from snvrips.pipeline import SnvBar, alive_counts
 from snvrips.rips import boundary_matrix
 
@@ -33,9 +46,9 @@ from helpers import (
 
 
 @st.composite
-def symmetric_matrices(draw, max_n: int = 12, max_value: int = 6):
+def symmetric_matrices(draw, max_n: int = 12, max_value: int = 6, min_n: int = 0):
     """Symmetric matrices with zero diagonal and off-diagonal entries >= 1."""
-    n = draw(st.integers(0, max_n))
+    n = draw(st.integers(min_n, max_n))
     pairs = n * (n - 1) // 2
     upper = draw(st.lists(st.integers(1, max_value), min_size=pairs, max_size=pairs))
     d = np.zeros((n, n), dtype=np.int64)
@@ -57,7 +70,6 @@ def test_clique_builder_matches_all_triples_reference(d, cap):
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
         assert built.simplices == reference.simplices
-        assert built.diameter == reference.diameter
 
 
 @settings(max_examples=100, deadline=None)
@@ -399,3 +411,41 @@ def test_parse_sequences_raises_only_input_error(texts, horizon, command):
     check_parser_and_cli(
         parse_sequences, ("--sequences", "--metadata"), *texts, horizon, command
     )
+
+
+@st.composite
+def labelled_spaces(draw, m: int):
+    """4 to 9 points at distances 1-2, so that the scale-1 graph is a random
+    graph with cycles, each labelled with a step in 0..m."""
+    d = draw(symmetric_matrices(max_n=9, max_value=2, min_n=4))
+    ids = tuple(f"p{i}" for i in range(d.shape[0]))
+    times = draw(st.lists(st.integers(0, m), min_size=len(ids), max_size=len(ids)))
+    return DistanceSpace(ids, d), TimeLabels(m, dict(zip(ids, times)))
+
+
+# from m = 9 or 99 every extension moves N = time_offset_base up a power of ten
+@pytest.mark.parametrize("m", [0, 2, 9, 99])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_extending_the_horizon_appends_copies_of_the_last_count(m, data):
+    space, labels = data.draw(labelled_spaces(m))
+    k = data.draw(st.integers(1, 3))
+    p = data.draw(st.sampled_from([2, 3, 5, 7]))
+    longer = TimeLabels(m + k, labels.by_id)
+    for run in (deformed_snv, lambda *args: classical_snv(*args, cap=1)):
+        counts = run(space, labels, p).per_step_counts
+        assert run(space, longer, p).per_step_counts == counts + counts[-1:] * k
+    verdict = verify_correspondence(
+        classical_snv(space, longer, p, cap=1), deformed_snv(space, longer, p)
+    )
+    assert verdict.discrepancies == []
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_deformed_classical_and_oracle_agree_per_step(p, data):
+    space, labels = data.draw(labelled_spaces(data.draw(st.integers(0, 4))))
+    oracle = snv_counts_oracle(space, labels, p)
+    assert deformed_snv(space, labels, p).per_step_counts == oracle
+    assert classical_snv(space, labels, p, cap=1).per_step_counts == oracle

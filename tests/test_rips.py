@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from snvrips import InputError, Simplex, build_rips, restrict_to_step
+from snvrips import InputError, build_rips, restrict_to_step
+from snvrips.rips import Simplex
 from snvrips.rips import boundary_matrix
 
 from helpers import (
@@ -29,7 +30,6 @@ def test_unit_triangle_complex():
         [0, 1, 2],
     ]
     assert cplx.values.tolist() == [0, 0, 0, 1, 1, 1, 1]
-    assert cplx.diameter == 1
     assert position(cplx, (0, 2)) == 4
 
 
@@ -37,7 +37,6 @@ def test_two_points_cap_zero():
     d = np.array([[0, 3], [3, 0]])
     cplx = build_rips(d, cap=0)
     assert [s.vertices for s in cplx.simplices] == [(0,), (1,)]
-    assert cplx.diameter == 3  # diameter reflects the matrix, not the cap
 
 
 def test_square_complex_values():
