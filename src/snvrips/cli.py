@@ -65,7 +65,10 @@ def _check_prime(p: int) -> None:
 
 
 def _read(path: str) -> str:
-    return Path(path).read_text()
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
 
 def resolve_input(

@@ -2,9 +2,11 @@
 
 One engine finds the H_1 pairs by cohomology and the representatives by
 homology; both give the same pairs (de Silva, Morozov & Vejdemo-Johansson,
-*Dualities in persistent (co)homology*, 2011).  It reads boundaries as face
-ranks (a simplex's rank counts the simplices of its dimension before it) and
-runs three passes:
+*Dualities in persistent (co)homology*, 2011).  It reads the boundaries
+straight from the builder's face arrays, ``FilteredComplex.faces``: each edge
+and triangle lists its faces as ranks (a simplex's rank counts the simplices
+of its dimension before it), and face k has sign (-1)^k, so no boundary
+matrix is built, as in Ripser.  It runs three passes:
 
 1. A union-find over the edges, in filtration order, marks the H_0 deaths:
    the edges that join two components.  No H_1 class is born at them, so
@@ -32,6 +34,9 @@ other primes a dict keyed by rank.
 ``nonzero_sweep`` checks the deaths from outside: over the same face ranks it
 grows its own echelon of triangle boundaries once over ascending thresholds,
 and reports whether each 1-chain lies outside that span at each threshold.
+
+``reduce_with_basis`` is the engine's output keyed by filtration position,
+a view kept for the tests and for the name the benchmark's tracer patches.
 """
 
 from __future__ import annotations
@@ -168,55 +173,6 @@ def _kernel(p: int) -> _Kernel:
     return _F2 if p == 2 else _FP
 
 
-@dataclass(frozen=True)
-class _Columns:
-    """Sparse columns, compressed: column k has rows ``rows[ptr[k]:ptr[k+1]]``
-    with nonzero coefficients mod p ``vals`` in the same slots."""
-
-    ptr: np.ndarray
-    rows: np.ndarray
-    vals: np.ndarray
-
-    @classmethod
-    def of_faces(cls, faces: np.ndarray, p: int) -> _Columns:
-        """Boundaries from face ranks in boundary order: signs alternate."""
-        count, width = faces.shape
-        signs = [1 if k % 2 == 0 else p - 1 for k in range(width)]
-        ptr = np.arange(0, count * width + 1, width)
-        return cls(ptr, faces.ravel(), np.tile(signs, count))
-
-    @classmethod
-    def of_chains(cls, chains: list[Chain], rank: list[int], p: int) -> _Columns:
-        """Columns from chains keyed by position, rows mapped through ``rank``."""
-        ptr, rows, vals = [0], [], []
-        for chain in chains:
-            for pos, c in chain.items():
-                if c % p:
-                    rows.append(rank[pos])
-                    vals.append(c % p)
-            ptr.append(len(rows))
-        return cls(*(np.array(a, dtype=np.int64) for a in (ptr, rows, vals)))
-
-    def __len__(self) -> int:
-        return len(self.ptr) - 1
-
-    def column(self, k: int, kernel: _Kernel):
-        """Column ``k`` in the kernel's form."""
-        a, b = self.ptr[k : k + 2].tolist()
-        return kernel.column(self.rows[a:b].tolist(), self.vals[a:b].tolist())
-
-    def take(self, ks: list[int], kernel: _Kernel) -> list:
-        """Columns ``ks`` in the kernel's form, gathered in one numpy step."""
-        ks = np.asarray(ks, dtype=np.int64)
-        starts = self.ptr[ks]
-        sizes = self.ptr[ks + 1] - starts
-        ends = np.cumsum(sizes)
-        slots = np.arange(ends[-1] if len(ks) else 0) + np.repeat(starts - ends + sizes, sizes)
-        rows, vals = self.rows[slots].tolist(), self.vals[slots].tolist()
-        bounds = zip([0] + ends.tolist(), ends.tolist())
-        return [kernel.column(rows[a:b], vals[a:b]) for a, b in bounds]
-
-
 @dataclass
 class _Reduction:
     """The engine's output in ranks, columns in the kernel's form."""
@@ -227,20 +183,12 @@ class _Reduction:
     cycles: dict[int, Any]  # essential edge -> V column, a cycle
 
 
-def _h0_deaths(edges: _Columns, n_vertices: int, p: int) -> list[bool]:
+def _h0_deaths(edge_faces: np.ndarray, n_vertices: int) -> list[bool]:
     """Whether each edge joins two components of the edges before it, by
-    union-find: an edge column c*(u - w) is then independent of theirs."""
-    ptr, rows, vals = (a.tolist() for a in (edges.ptr, edges.rows, edges.vals))
+    union-find: its boundary is then independent of theirs."""
     root = list(range(n_vertices))
     deaths = []
-    for e in range(len(edges)):
-        a, b = ptr[e], ptr[e + 1]
-        if a == b:
-            deaths.append(False)
-            continue
-        if b - a != 2 or (vals[a] + vals[a + 1]) % p:
-            raise ValueError(f"edge column {e} is not a multiple of an edge boundary")
-        u, w = rows[a], rows[a + 1]
+    for u, w in edge_faces.tolist():
         while root[u] != u:
             root[u] = root[root[u]]
             u = root[u]
@@ -253,7 +201,7 @@ def _h0_deaths(edges: _Columns, n_vertices: int, p: int) -> list[bool]:
 
 
 def _pair_by_cohomology(
-    triangles: _Columns, n_edges: int, cleared: list[bool], kernel: _Kernel, p: int
+    tri_faces: np.ndarray, n_edges: int, cleared: list[bool], kernel: _Kernel, p: int
 ) -> tuple[dict[int, int], list[int]]:
     """Reduce the uncleared edge coboundaries, youngest edge first.
 
@@ -261,18 +209,23 @@ def _pair_by_cohomology(
     highest row is its oldest triangle.  Returns the pairs (triangle -> edge)
     and the edges whose coboundary reduces to zero, youngest first.
     """
-    n_tri = len(triangles)
+    n_tri = len(tri_faces)
     # the transpose: edge e's coboundary rows are co_rows[co_ptr[e]:co_ptr[e+1]],
-    # descending, because a stable sort keeps each edge's triangles ascending
-    order = np.argsort(triangles.rows, kind="stable")
-    co_rows = (n_tri - 1 - np.repeat(np.arange(n_tri), np.diff(triangles.ptr)))[order]
-    co_vals = triangles.vals[order]
+    # descending, because a stable sort keeps each edge's triangles ascending;
+    # slot k of the raveled faces is face k % 3 of triangle k // 3
+    faces = tri_faces.ravel()
+    order = np.argsort(faces, kind="stable")
+    co_rows = n_tri - 1 - order // 3
+    co_vals = np.array([1, p - 1, 1])[order % 3]
     del order
-    sizes = np.bincount(triangles.rows, minlength=n_edges)
+    sizes = np.bincount(faces, minlength=n_edges)
     co_ptr = np.concatenate(([0], np.cumsum(sizes)))
     first = np.full(n_edges, -1)  # each coboundary's highest row, -1 if empty
     first[sizes > 0] = co_rows[co_ptr[:-1][sizes > 0]]
-    coboundaries = _Columns(co_ptr, co_rows, co_vals)
+
+    def coboundary(e: int):
+        a, b = co_ptr[e : e + 2].tolist()
+        return kernel.column(co_rows[a:b].tolist(), co_vals[a:b].tolist())
 
     owner: dict[int, int] = {}  # pivot row -> edge
     reduced: dict[int, Any] = {}  # edge -> column, when it took an addition
@@ -282,7 +235,7 @@ def _pair_by_cohomology(
         if e is None:
             return None
         col = reduced.get(e)
-        return (coboundaries.column(e, kernel) if col is None else col), None
+        return (coboundary(e) if col is None else col), None
 
     essential = []
     for e, row in zip(range(n_edges - 1, -1, -1), reversed(first.tolist())):
@@ -293,7 +246,7 @@ def _pair_by_cohomology(
         elif row not in owner:
             owner[row] = e  # apparent: the pivot is free before any addition
         else:
-            col, _ = kernel.reduce(coboundaries.column(e, kernel), None, owner_of, p)
+            col, _ = kernel.reduce(coboundary(e), None, owner_of, p)
             if col:
                 owner[kernel.low(col)] = e
                 reduced[e] = col
@@ -302,17 +255,19 @@ def _pair_by_cohomology(
     return {n_tri - 1 - row: e for row, e in owner.items()}, essential
 
 
-def _reduce(n_vertices: int, edges: _Columns, triangles: _Columns, p: int) -> _Reduction:
+def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
     """Pairs by cohomology, representatives by homology; see the module notes."""
     kernel = _kernel(p)
-    cleared = _h0_deaths(edges, n_vertices, p)
-    pairs, essential = _pair_by_cohomology(triangles, len(edges), cleared, kernel, p)
+    edge_faces, tri_faces = cplx.faces
+    signs = [1, p - 1, 1]  # face k has sign (-1)^k; an edge takes the first two
+    cleared = _h0_deaths(edge_faces, cplx.n_points)
+    pairs, essential = _pair_by_cohomology(tri_faces, len(edge_faces), cleared, kernel, p)
 
     pivots: dict[int, tuple] = {}
     deaths = {}
     order = sorted(pairs)
-    for t, col in zip(order, triangles.take(order, kernel)):
-        col, _ = kernel.reduce(col, None, pivots.get, p)
+    for t, rows in zip(order, tri_faces[order].tolist()):
+        col, _ = kernel.reduce(kernel.column(rows, signs), None, pivots.get, p)
         pivots[kernel.low(col)] = (col, None)
         deaths[t] = col
 
@@ -320,8 +275,8 @@ def _reduce(n_vertices: int, edges: _Columns, triangles: _Columns, p: int) -> _R
     h0_columns, cycles = {}, {}
     order = sorted(essential + [e for e, dead in enumerate(cleared) if dead])
     is_essential = set(essential)
-    for e, col in zip(order, edges.take(order, kernel)):
-        col, v = kernel.reduce(col, kernel.unit(e), pivots.get, p)
+    for e, rows in zip(order, edge_faces[order].tolist()):
+        col, v = kernel.reduce(kernel.column(rows, signs), kernel.unit(e), pivots.get, p)
         if e in is_essential:
             cycles[e] = v
         else:
@@ -330,37 +285,21 @@ def _reduce(n_vertices: int, edges: _Columns, triangles: _Columns, p: int) -> _R
     return _Reduction(pairs, deaths, h0_columns, cycles)
 
 
-def reduce_with_basis(
-    columns: list[Chain],
-    dims: list[int],
-    p: int,
-) -> ReductionResult:
-    """Reduce the boundary columns of a filtered complex over F_p.
+def reduce_with_basis(cplx: FilteredComplex, p: int) -> ReductionResult:
+    """The engine's output on a complex, keyed by filtration position.
 
-    Columns come in a face-respecting filtration order and are keyed by
-    position; ``dims`` gives each column's dimension, at most 2.  An edge
-    column must be empty or a multiple of u - w.  Every column reduces as in
-    the left-to-right algorithm: the engine pairs by cohomology and reduces
-    only the death triangles and the edges that are not paired.  A paired
-    edge's cycle_basis entry is its triangle's reduced column: a cycle whose
-    youngest edge is that edge.
+    A view of ``_reduce`` kept for the tests and for the benchmark tracer,
+    which patches this name; no solve calls it.  It maps the engine's ranks
+    to positions through ``cplx.by_dim``.  Every column reads as in the
+    left-to-right algorithm, although the engine pairs by cohomology and
+    reduces only the death triangles and the edges that are not paired.  A
+    paired edge's cycle_basis entry is its triangle's reduced column: a cycle
+    whose youngest edge is that edge.
     """
-    if len(dims) != len(columns):
-        raise ValueError("columns and dims must have equal length")
-    # by_dim[d][r] is the position of the rank-r column of dimension d
-    by_dim: tuple[list[int], ...] = ([], [], [])
-    rank = []
-    for j, d in enumerate(dims):
-        rank.append(len(by_dim[d]))
-        by_dim[d].append(j)
-    edges, triangles = (
-        _Columns.of_chains([columns[j] for j in by_dim[d]], rank, p) for d in (1, 2)
-    )
-    core = _reduce(len(by_dim[0]), edges, triangles, p)
-
+    core = _reduce(cplx, p)
     chain = _kernel(p).chain
-    vertex_pos, edge_pos, tri_pos = by_dim
-    reduced: list[Chain] = [{} for _ in columns]
+    vertex_pos, edge_pos, tri_pos = (a.tolist() for a in cplx.by_dim)
+    reduced: list[Chain] = [{} for _ in range(len(cplx))]
     for e, col in core.h0.items():
         reduced[edge_pos[e]] = chain(col, vertex_pos)
     for t, col in core.deaths.items():
@@ -378,12 +317,7 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
     Zero-length pairs (birth == death) are discarded before their
     representatives are read.
     """
-    core = _reduce(
-        cplx.n_points,
-        _Columns.of_faces(cplx.faces[0], p),
-        _Columns.of_faces(cplx.faces[1], p),
-        p,
-    )
+    core = _reduce(cplx, p)
     chain = _kernel(p).chain
     edge_pos = cplx.by_dim[1].tolist()
     edge_value = cplx.values[cplx.by_dim[1]].tolist()

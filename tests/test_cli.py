@@ -152,6 +152,25 @@ def test_missing_file_is_an_error(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+MATRIX_FILES = {"--matrix": MATRIX, "--times": TIMES}
+SEQUENCE_FILES = {"--sequences": FASTA, "--metadata": META}
+
+
+@pytest.mark.parametrize("flag", [*MATRIX_FILES, *SEQUENCE_FILES])
+def test_input_that_is_not_utf8_is_an_error(flag, tmp_path, capsys):
+    # a UTF-16 byte-order mark, as a Windows editor may write it
+    files = MATRIX_FILES if flag in MATRIX_FILES else SEQUENCE_FILES
+    argv = ["deformed"]
+    for name, text in files.items():
+        path = tmp_path / name.lstrip("-")
+        path.write_bytes((b"\xff\xfe" if name == flag else b"") + text.encode())
+        argv += [name, str(path)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "not valid UTF-8" in err
+    assert str(tmp_path / flag.lstrip("-")) in err
+
+
 def test_matrix_needs_times(tmp_path, capsys):
     matrix, _ = write_matrix_files(tmp_path)
     assert cli.main(["classical", "--matrix", matrix]) == 1

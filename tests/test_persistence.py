@@ -33,7 +33,7 @@ def bar_multiset(barcode):
 
 def test_single_edge_is_unpaired_and_creates_nothing():
     cplx = build_rips(np.array([[0, 2], [2, 0]]), cap=2)
-    result = reduce_with_basis(boundary_matrix(cplx, 2), [s.dim for s in cplx.simplices], 2)
+    result = reduce_with_basis(cplx, 2)
     assert result.pairing == {}
     assert result.cycle_basis == {}
     assert barcode_h1(cplx, 2).bars == []
@@ -42,7 +42,7 @@ def test_single_edge_is_unpaired_and_creates_nothing():
 def test_triangle_reduction_by_hand():
     # positions: 0-2 vertices, 3-5 edges, 6 triangle; all simplices at value 1
     cplx = build_rips(unit_triangle().dist, cap=1)
-    result = reduce_with_basis(boundary_matrix(cplx, 2), [s.dim for s in cplx.simplices], 2)
+    result = reduce_with_basis(cplx, 2)
     assert result.pairing == {6: 5}  # the triangle kills the cycle its last edge made
     assert set(result.cycle_basis) == {5}
     assert result.cycle_basis[5] == {3: 1, 4: 1, 5: 1}
@@ -87,8 +87,7 @@ def test_cycle_basis_chains_are_cycles_keyed_by_their_youngest_edge():
             (deform(space, labels), 2 * time_offset_base(labels.m) - 1),
         ):
             cplx = build_rips(matrix, cap=cap)
-            dims = [s.dim for s in cplx.simplices]
-            result = reduce_with_basis(boundary_matrix(cplx, p), dims, p)
+            result = reduce_with_basis(cplx, p)
             # every cleared edge (paired with a triangle) has a cycle too
             assert set(result.pairing.values()) <= set(result.cycle_basis)
             for edge, chain in result.cycle_basis.items():
@@ -169,20 +168,9 @@ def test_class_check_rejects_absent_edges():
         nonzero_sweep(cplx, [], [2, 1], 2, [])
 
 
-def test_reduction_is_idempotent():
-    for seed in range(6):
-        space, labels, p = suite_instance(seed)
-        cplx = build_rips(space.dist, cap=space.diameter())
-        dims = [s.dim for s in cplx.simplices]
-        once = reduce_with_basis(boundary_matrix(cplx, p), dims, p)
-        twice = reduce_with_basis(once.reduced, dims, p)
-        assert twice.reduced == once.reduced
-        assert twice.pairing == once.pairing
-
-
 def test_mod_3_coefficients():
     cplx = build_rips(unit_triangle().dist, cap=1)
-    result = reduce_with_basis(boundary_matrix(cplx, 3), [s.dim for s in cplx.simplices], 3)
+    result = reduce_with_basis(cplx, 3)
     assert result.pairing == {6: 5}
     chain = result.cycle_basis[5]
     assert chain_boundary(cplx, chain, 3) == {}
@@ -200,23 +188,21 @@ def test_signs_over_f3():
     # at cap 2 the triangle (0,2,3) kills it, after one addition of (0,1,2)
     # scaled by 2
     cplx = build_rips(square_space().dist, cap=2)
-    result = reduce_with_basis(boundary_matrix(cplx, 3), [s.dim for s in cplx.simplices], 3)
+    result = reduce_with_basis(cplx, 3)
     assert result.pairing == {10: 8, 11: 9, 12: 7}
     assert result.reduced[12] == cycle
     assert result.reduced[10] == {6: 1, 8: 2, 4: 1}  # (1,2) - (0,2) + (0,1)
 
 
 def run_both(cplx, p):
-    dims = [s.dim for s in cplx.simplices]
-    columns = boundary_matrix(cplx, p)
-    return reduce_with_basis(columns, dims, p), standard_reduction(columns, p)
+    return reduce_with_basis(cplx, p), standard_reduction(boundary_matrix(cplx, p), p)
 
 
 def test_empty_complex():
     for n in (0, 1):
         cplx = build_rips(np.zeros((n, n), dtype=np.int64), cap=0)
         for p in (2, 3):
-            result = reduce_with_basis(boundary_matrix(cplx, p), [0] * n, p)
+            result = reduce_with_basis(cplx, p)
             assert (result.pairing, result.cycle_basis) == ({}, {})
             assert result.reduced == [{}] * n
             assert barcode_h1(cplx, p).bars == []

@@ -4,7 +4,8 @@ against dense Betti numbers over several primes, the homology sweep against
 dense ranks, per-step counts against a brute-force count, zero-distance
 merging in both parsers and against a brute-force merge, the matrix parser's
 first bad cell, the parsers on arbitrary text, a longer horizon against the
-shorter one, and the two pipelines against the oracle over F_2 to F_7."""
+shorter one, a zero-distance copy against the input without it, and the two
+pipelines against the oracle over F_2 to F_7."""
 
 import contextlib
 import io
@@ -80,9 +81,8 @@ def test_engine_matches_standard_reduction(d, p):
     for cap in (0, below_all, (below_all + diameter) // 2, diameter):
         cplx = build_rips(d, cap)
         dims = [s.dim for s in cplx.simplices]
-        columns = boundary_matrix(cplx, p)
-        result = reduce_with_basis(columns, dims, p)
-        reduced = standard_reduction(columns, p)
+        result = reduce_with_basis(cplx, p)
+        reduced = standard_reduction(boundary_matrix(cplx, p), p)
 
         pairing = {j: max(col) for j, col in enumerate(reduced) if dims[j] == 2 and col}
         assert result.pairing == pairing
@@ -217,6 +217,12 @@ def expected_merge(ids, group, times):
     return tuple(sorted(kept.values())) if merges else tuple(ids), merges, labels
 
 
+def matrix_files(d: np.ndarray, times: list[int]) -> tuple[str, str]:
+    """The lower-triangle matrix text and the time-vector text of ``d``."""
+    rows = [" ".join(map(str, d[k, :k].tolist())) + "\n" for k in range(1, len(d))]
+    return "".join(rows), "".join(f"{t}\n" for t in times)
+
+
 @settings(max_examples=200, deadline=None)
 @given(zero_distance_groups())
 def test_parsers_keep_least_id_and_smallest_label_of_each_group(case):
@@ -225,11 +231,10 @@ def test_parsers_keep_least_id_and_smallest_label_of_each_group(case):
     fasta = "".join(f">{pid}\n{'ACGT'[g] * 3}\n" for pid, g in zip(ids, group))
     meta = "id\ttime\n" + "".join(f"{pid}\t{t}\n" for pid, t in zip(ids, times))
     # matrix: ids p0, p1, ... in file order, zero distances along each group's path
-    rows = "".join(" ".join(map(str, dist[k, :k])) + "\n" for k in range(1, len(ids)))
     numbered = [f"p{k}" for k in range(len(ids))]
     for bundle, names in (
         (parse_sequences(fasta, meta), ids),
-        (parse_matrix(rows, "".join(f"{t}\n" for t in times)), numbered),
+        (parse_matrix(*matrix_files(dist, times)), numbered),
     ):
         point_ids, merges, labels = expected_merge(names, group, times)
         assert bundle.space.point_ids == point_ids
@@ -449,3 +454,36 @@ def test_deformed_classical_and_oracle_agree_per_step(p, data):
     oracle = snv_counts_oracle(space, labels, p)
     assert deformed_snv(space, labels, p).per_step_counts == oracle
     assert classical_snv(space, labels, p, cap=1).per_step_counts == oracle
+
+
+def step_pairs(report) -> list[tuple[int, int]]:
+    """The (birth_step, death_step) multiset, -1 for a class alive at m."""
+    return sorted((b.birth_step, b.death_step or -1) for b in report.bars)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_a_zero_distance_copy_leaves_the_counts_unchanged(data):
+    # the copy's time lies between its original's label and the largest
+    # label, so the merge keeps the original's label and the horizon stays
+    space, labels = data.draw(labelled_spaces(data.draw(st.integers(0, 4))))
+    p = data.draw(st.sampled_from([2, 3]))
+    times = labels.vector(space.point_ids).tolist()
+    n = len(times)
+    k = data.draw(st.integers(0, n - 1))
+    at = data.draw(st.integers(0, n))
+    source = list(range(n))
+    source.insert(at, k)
+    copied = times[:]
+    copied.insert(at, data.draw(st.integers(times[k], max(times))))
+
+    plain = parse_matrix(*matrix_files(space.dist, times))
+    merged = parse_matrix(*matrix_files(space.dist[np.ix_(source, source)], copied))
+    assert len(merged.merges) == 1 and merged.labels.m == plain.labels.m
+    assert sorted(merged.labels.by_id.values()) == sorted(plain.labels.by_id.values())
+    want = deformed_snv(plain.space, plain.labels, p)
+    got = deformed_snv(merged.space, merged.labels, p)
+    assert got.per_step_counts == want.per_step_counts
+    assert step_pairs(got) == step_pairs(want)
+    classical = classical_snv(merged.space, merged.labels, p, cap=1)
+    assert verify_correspondence(classical, got).discrepancies == []
