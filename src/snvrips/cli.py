@@ -14,15 +14,14 @@ Reports go to standard output, diagnostics to standard error.  Exit codes:
 """
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Sequence
 
-from .distance import INT64_MAX, TimeLabels, check_horizon
+from .distance import INT64_MAX, check_horizon
 from .errors import InputError
 from .io import InputBundle, emit_report, parse_matrix, parse_sequences
-from .oracle import RandomInstanceSpec, random_instance, snv_counts_oracle
+from .oracle import OracleReport, RandomInstanceSpec, random_instance, snv_counts_oracle
 from .pipeline import (
     benchmark,
     classical_snv,
@@ -65,8 +64,9 @@ def _check_prime(p: int) -> None:
 
 
 def _read(path: str) -> str:
+    """A UTF-8 file's text, without a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 
@@ -115,14 +115,7 @@ def resolve_input(
                 "no input given; use --sequences/--metadata, --matrix/--times, or --n/--m"
             )
         space, labels = random_instance(spec)
-        if args.horizon is not None:
-            if args.horizon < labels.m:
-                raise InputError(
-                    f"horizon {args.horizon} is below the generator's m = {labels.m}; "
-                    "it may only extend the series"
-                )
-            labels = TimeLabels(args.horizon, labels.by_id)
-        bundle = InputBundle(space, labels)
+        bundle = InputBundle(space, labels.extended(args.horizon))
     check_horizon(bundle.space, bundle.labels.m)
     return bundle
 
@@ -134,12 +127,8 @@ def _attach_provenance(report, bundle: InputBundle) -> None:
 
 def _cmd_classical(args: argparse.Namespace) -> int:
     bundle = resolve_input(args)
-    cap = parse_cap(args.cap)
     report = classical_snv(
-        bundle.space,
-        bundle.labels,
-        p=args.prime,
-        cap=None if cap == "full" else cap,
+        bundle.space, bundle.labels, p=args.prime, cap=parse_cap(args.cap)
     )
     _attach_provenance(report, bundle)
     sys.stdout.write(emit_report(report, args.format))
@@ -163,15 +152,11 @@ def _cmd_deformed(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     bundle = resolve_input(args)
-    cap = parse_cap(args.cap)
     # The cap applies to the classical side only; the deformed run keeps its
     # default so the per-step decoding stays intact.  The correspondence reads
     # only scale-1 births from the classical side, so the default cap is 1.
     classical = classical_snv(
-        bundle.space,
-        bundle.labels,
-        p=args.prime,
-        cap=None if cap == "full" else cap,
+        bundle.space, bundle.labels, p=args.prime, cap=parse_cap(args.cap)
     )
     deformed = deformed_snv(bundle.space, bundle.labels, p=args.prime)
     verdict = verify_correspondence(classical, deformed)
@@ -202,16 +187,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 def _cmd_oracle(args: argparse.Namespace) -> int:
     bundle = resolve_input(args)
     counts = snv_counts_oracle(bundle.space, bundle.labels, args.prime)
-    if args.format == "json":
-        doc = {
-            "mode": "oracle",
-            "m": bundle.labels.m,
-            "p": args.prime,
-            "per_step_counts": counts,
-        }
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
-    else:
-        sys.stdout.write("".join(f"{i}\t{c}\n" for i, c in enumerate(counts)))
+    report = OracleReport(bundle.labels.m, args.prime, counts)
+    sys.stdout.write(emit_report(report, args.format))
     return 0
 
 

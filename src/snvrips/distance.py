@@ -118,6 +118,16 @@ class TimeLabels:
         except KeyError:
             raise InputError(f"no time label for point {point_id!r}") from None
 
+    def extended(self, horizon: int | None) -> TimeLabels:
+        """The same labels over horizon ``horizon``; None keeps m."""
+        if horizon is None:
+            return self
+        if horizon < self.m:
+            raise InputError(
+                f"horizon {horizon} is below m = {self.m}; it may only extend the series"
+            )
+        return TimeLabels(horizon, self.by_id)
+
     def vector(self, point_ids: Sequence[str]) -> np.ndarray:
         """Labels aligned with the given id order; errors on a missing point."""
         return np.array([self.of(pid) for pid in point_ids], dtype=np.int64)

@@ -15,8 +15,10 @@ Zero off-diagonal distances (identical sequences) are merged by
 one helper then gives the kept point the smallest time label of its group,
 for both formats, and records every merge in the bundle.
 
-Output: JSON with a stable key order, or a ``step<TAB>count`` summary.
-Representatives are serialized as (vertex-id, vertex-id, coefficient) triples.
+Output: JSON with a stable key order, or a ``step<TAB>count`` summary.  A
+report's JSON keys are "mode" and then its dataclass fields, except for SNV
+reports, whose derived keys need a builder.  Representatives are serialized
+as (vertex-id, vertex-id, coefficient) triples.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .distance import (
     dedupe_zero_distance,
 )
 from .errors import InputError
+from .oracle import OracleReport
 from .pipeline import (
     BenchmarkResult,
     CorrespondenceReport,
@@ -48,18 +51,6 @@ class InputBundle:
     labels: TimeLabels
     merges: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
-
-
-def _resolve_horizon(times: dict[str, int], horizon: int | None) -> int:
-    m = max(times.values())
-    if horizon is None:
-        return m
-    if horizon < m:
-        raise InputError(
-            f"horizon {horizon} is below the largest time label {m}; "
-            "it may only extend the series"
-        )
-    return horizon
 
 
 def _merged_bundle(
@@ -78,8 +69,8 @@ def _merged_bundle(
         f"merged {dropped} into {kept} ({reason})"
         for dropped, kept in sorted(merges.items())
     ]
-    m = _resolve_horizon(times, horizon)
-    return InputBundle(space, TimeLabels(m, labels), merges, notes)
+    labels = TimeLabels(max(times.values()), labels).extended(horizon)
+    return InputBundle(space, labels, merges, notes)
 
 
 def _parse_fasta(text: str) -> list[tuple[str, str]]:
@@ -224,7 +215,7 @@ def _bar_dict(bar) -> dict:
         "alive_through_horizon": bar.death_step is None,
         "birth_value": bar.birth_value,
         "death_value": bar.death_value,
-        "representative": [list(edge) for edge in bar.representative],
+        "representative": bar.representative,
     }
 
 
@@ -234,7 +225,7 @@ def _snv_dict(report: SnvReport) -> dict:
         "m": report.m,
         "p": report.p,
         "n_points": len(report.point_ids),
-        "point_ids": list(report.point_ids),
+        "point_ids": report.point_ids,
         "cap": report.cap,
         "caps_by_step": report.caps_by_step,
         "per_step_counts": report.per_step_counts,
@@ -244,15 +235,11 @@ def _snv_dict(report: SnvReport) -> dict:
     }
 
 
-def _correspondence_dict(report: CorrespondenceReport) -> dict:
-    return {
-        "mode": "correspondence",
-        "m": report.m,
-        "p": report.p,
-        "per_step_counts_match": report.per_step_counts_match,
-        "matched_deaths": [list(pair) for pair in report.matched_deaths],
-        "discrepancies": report.discrepancies,
-    }
+def _fields_dict(mode: str):
+    """JSON builder for a report whose keys are "mode", then its dataclass
+    fields in order.  ``vars`` shares the field values; ``dataclasses.asdict``
+    would copy every list element in Python."""
+    return lambda report: {"mode": mode, **vars(report)}
 
 
 def _stability_dict(report: StabilityReport) -> dict:
@@ -260,36 +247,12 @@ def _stability_dict(report: StabilityReport) -> dict:
         "mode": "stability",
         "m": report.m,
         "ok": report.ok,
-        "rows": [
-            {
-                "birth_step": row.birth_step,
-                "last_alive_step": row.last_alive_step,
-                "member_by_step": list(row.member_by_step),
-                "nonzero_by_step": list(row.nonzero_by_step),
-            }
-            for row in report.rows
-        ],
+        "rows": [vars(row) for row in report.rows],
         "violations": report.violations,
     }
 
 
-def _benchmark_dict(result: BenchmarkResult) -> dict:
-    return {
-        "mode": "benchmark",
-        "n_points": result.n_points,
-        "m": result.m,
-        "p": result.p,
-        "repetitions": result.repetitions,
-        "classical_seconds": result.classical_seconds,
-        "deformed_seconds": result.deformed_seconds,
-        "classical_median_seconds": result.classical_median,
-        "deformed_median_seconds": result.deformed_median,
-        "ratio_classical_over_deformed": result.ratio,
-        "correspondence_clean": result.correspondence_clean,
-    }
-
-
-def _snv_lines(report: SnvReport) -> list[str]:
+def _snv_lines(report: SnvReport | OracleReport) -> list[str]:
     return [f"{i}\t{c}" for i, c in enumerate(report.per_step_counts)]
 
 
@@ -305,18 +268,19 @@ def _stability_lines(report: StabilityReport) -> list[str]:
 
 def _benchmark_lines(result: BenchmarkResult) -> list[str]:
     return [
-        f"classical_median_seconds\t{result.classical_median:.6f}",
-        f"deformed_median_seconds\t{result.deformed_median:.6f}",
-        f"ratio\t{result.ratio:.6f}",
+        f"classical_median_seconds\t{result.classical_median_seconds:.6f}",
+        f"deformed_median_seconds\t{result.deformed_median_seconds:.6f}",
+        f"ratio\t{result.ratio_classical_over_deformed:.6f}",
     ]
 
 
 # report type -> (JSON document builder, TSV summary lines builder)
 _FORMATS = {
     SnvReport: (_snv_dict, _snv_lines),
-    CorrespondenceReport: (_correspondence_dict, _correspondence_lines),
+    CorrespondenceReport: (_fields_dict("correspondence"), _correspondence_lines),
     StabilityReport: (_stability_dict, _stability_lines),
-    BenchmarkResult: (_benchmark_dict, _benchmark_lines),
+    BenchmarkResult: (_fields_dict("benchmark"), _benchmark_lines),
+    OracleReport: (_fields_dict("oracle"), _snv_lines),
 }
 
 

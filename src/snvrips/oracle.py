@@ -70,6 +70,15 @@ def betti1_bruteforce(dist, v: int, p: int) -> int:
     return (len(edges) - rank_mod_p(d1, p)) - rank_mod_p(d2, p)
 
 
+@dataclass
+class OracleReport:
+    """Per-step cycle counts from ``snv_counts_oracle`` alone."""
+
+    m: int
+    p: int
+    per_step_counts: list[int]
+
+
 def snv_counts_oracle(space: DistanceSpace, labels: TimeLabels, p: int) -> list[int]:
     """Per step i: dim H_1 of the step's point set at scale 1.
 
@@ -106,6 +115,8 @@ def random_instance(spec: RandomInstanceSpec) -> tuple[DistanceSpace, TimeLabels
     """
     if spec.n < 1:
         raise InputError(f"need at least one point, got n={spec.n}")
+    if spec.n**2 > INT64_MAX // 8:
+        raise InputError(f"n={spec.n} is too large for an n x n int64 matrix")
     if not 1 <= spec.d_max <= INT64_MAX:
         raise InputError(f"d_max must be in 1..{INT64_MAX}, got {spec.d_max}")
     if not 0 <= spec.m <= INT64_MAX:

@@ -125,9 +125,9 @@ class BenchmarkResult:
     repetitions: int
     classical_seconds: list[float]
     deformed_seconds: list[float]
-    classical_median: float
-    deformed_median: float
-    ratio: float
+    classical_median_seconds: float
+    deformed_median_seconds: float
+    ratio_classical_over_deformed: float
     correspondence_clean: bool
 
 
@@ -166,16 +166,19 @@ def classical_snv(
     space: DistanceSpace,
     labels: TimeLabels,
     p: int = 2,
-    cap: int | None = None,
+    cap: int | str | None = None,
 ) -> SnvReport:
     """One barcode per time step; bars born at scale 1 are the SNV cycles.
 
     Steps between two consecutive labels share one point set, so each block
     is computed once and its bars repeated with each step as birth step.
-    ``cap`` defaults to each step's full diameter; an explicit cap must be
-    >= 1 or the scale-1 births are unobservable.
+    ``cap`` defaults to each step's full diameter, which ``"full"`` also
+    means (the report's cap is then None); an explicit cap must be >= 1 or
+    the scale-1 births are unobservable.
     """
-    if cap is not None and cap < 1:
+    if cap == "full":
+        cap = None
+    elif cap is not None and cap < 1:
         raise InputError(f"classical cap must be >= 1, got {cap}")
     caps_by_step: list[int] = []
     counts: list[int] = []
@@ -393,8 +396,8 @@ def benchmark(
         repetitions=repetitions,
         classical_seconds=classical_times,
         deformed_seconds=deformed_times,
-        classical_median=classical_median,
-        deformed_median=deformed_median,
-        ratio=classical_median / max(deformed_median, 1e-12),
+        classical_median_seconds=classical_median,
+        deformed_median_seconds=deformed_median,
+        ratio_classical_over_deformed=classical_median / max(deformed_median, 1e-12),
         correspondence_clean=verdict.ok,
     )

@@ -166,9 +166,9 @@ def test_7_interval_membership_and_stability():
 def test_8_benchmark_smoke():
     space, labels = random_instance(RandomInstanceSpec(seed=0, n=50, m=12, d_max=4))
     result = benchmark(space, labels, p=2, repetitions=1)
-    assert result.classical_median > 0
-    assert result.deformed_median > 0
-    assert result.ratio > 0
+    assert result.classical_median_seconds > 0
+    assert result.deformed_median_seconds > 0
+    assert result.ratio_classical_over_deformed > 0
     assert result.correspondence_clean
     emitted = emit_report(result)
     for key in (

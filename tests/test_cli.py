@@ -75,7 +75,7 @@ def test_compare_passes_the_classical_cap(monkeypatch):
     args = ["compare", "--n", "8", "--m", "2", "--seed", "3"]
     for extra in ([], ["--cap", "full"], ["--cap", "3"]):
         assert cli.main(args + extra) == 0
-    assert seen == [1, None, 3]
+    assert seen == [1, "full", 3]
 
 
 def test_deformed_stability_tsv_keeps_the_table(capsys):
@@ -133,6 +133,32 @@ def test_bench_small_instance(capsys):
     assert doc["ratio_classical_over_deformed"] > 0
 
 
+def test_bench_report_schema(capsys):
+    # timings keep bench out of the golden corpus, so pin its keys instead
+    args = ["bench", "--n", "8", "--m", "2", "--seed", "1"]
+    assert cli.main(args) == 0
+    assert list(json.loads(capsys.readouterr().out)) == [
+        "mode",
+        "n_points",
+        "m",
+        "p",
+        "repetitions",
+        "classical_seconds",
+        "deformed_seconds",
+        "classical_median_seconds",
+        "deformed_median_seconds",
+        "ratio_classical_over_deformed",
+        "correspondence_clean",
+    ]
+    assert cli.main(args + ["--format", "tsv"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[0] for line in lines] == [
+        "classical_median_seconds",
+        "deformed_median_seconds",
+        "ratio",
+    ]
+
+
 def test_missing_input_is_an_error(capsys):
     assert cli.main(["classical"]) == 1
     assert "no input given" in capsys.readouterr().err
@@ -169,6 +195,22 @@ def test_input_that_is_not_utf8_is_an_error(flag, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error:") and "not valid UTF-8" in err
     assert str(tmp_path / flag.lstrip("-")) in err
+
+
+@pytest.mark.parametrize("flag", [*MATRIX_FILES, *SEQUENCE_FILES])
+def test_input_with_a_utf8_byte_order_mark(flag, tmp_path, capsys):
+    # Excel and Notepad may start a UTF-8 file with a byte-order mark
+    files = MATRIX_FILES if flag in MATRIX_FILES else SEQUENCE_FILES
+    outputs = []
+    for bom in (b"", b"\xef\xbb\xbf"):
+        argv = ["deformed", "--stability"]
+        for name, text in files.items():
+            path = tmp_path / name.lstrip("-")
+            path.write_bytes((bom if name == flag else b"") + text.encode())
+            argv += [name, str(path)]
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
 
 
 def test_matrix_needs_times(tmp_path, capsys):
@@ -225,6 +267,14 @@ def test_horizon_extends_generated_instance(capsys):
     assert doc["m"] == 4
     assert len(doc["per_step_counts"]) == 5
     assert cli.main(["classical", "--n", "5", "--m", "3", "--horizon", "1"]) == 1
+
+
+@pytest.mark.parametrize("command", ["classical", "deformed", "compare", "bench", "oracle"])
+def test_generated_instance_too_large_for_numpy_exits_1(command, capsys):
+    # numpy refuses a 3e9 x 3e9 shape before allocating anything
+    assert cli.main([command, "--n", "3000000000", "--m", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "n=3000000000" in err
 
 
 def test_generated_instance_needs_both_n_and_m(capsys):

@@ -360,8 +360,8 @@ def test_benchmark_smoke():
     assert result.repetitions == 2
     assert len(result.classical_seconds) == 2
     assert len(result.deformed_seconds) == 2
-    assert result.classical_median > 0 and result.deformed_median > 0
-    assert result.ratio > 0
+    assert result.classical_median_seconds > 0 and result.deformed_median_seconds > 0
+    assert result.ratio_classical_over_deformed > 0
     assert result.correspondence_clean
     with pytest.raises(InputError, match="repetitions"):
         benchmark(space, labels, p, repetitions=0)
