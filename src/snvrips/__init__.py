@@ -10,6 +10,7 @@ is exact integer arithmetic over a prime field.
 from .distance import (
     DistanceSpace,
     ScaleSchedule,
+    SequenceSpace,
     TimeLabels,
     build_space_from_sequences,
     dedupe_zero_distance,
@@ -37,7 +38,7 @@ from .pipeline import (
     stability_report,
     verify_correspondence,
 )
-from .rips import FilteredComplex, build_rips, restrict_to_step
+from .rips import Edges, FilteredComplex, build_rips, matrix_edges, restrict_to_step
 
 __version__ = "0.1.0"
 
@@ -47,11 +48,13 @@ __all__ = [
     "BenchmarkResult",
     "CorrespondenceReport",
     "DistanceSpace",
+    "Edges",
     "FilteredComplex",
     "InputBundle",
     "InputError",
     "RandomInstanceSpec",
     "ScaleSchedule",
+    "SequenceSpace",
     "SnvBar",
     "SnvReport",
     "StabilityReport",
@@ -66,6 +69,7 @@ __all__ = [
     "deform",
     "deformed_snv",
     "emit_report",
+    "matrix_edges",
     "nonzero_sweep",
     "parse_matrix",
     "parse_sequences",

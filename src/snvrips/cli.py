@@ -64,9 +64,9 @@ def _check_prime(p: int) -> None:
 
 
 def _read(path: str) -> str:
-    """A UTF-8 file's text, without a leading byte-order mark."""
+    """A UTF-8 file's text; the parsers drop a leading byte-order mark."""
     try:
-        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
+        return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 (byte {exc.start})") from None
 

@@ -13,6 +13,7 @@ per-step correspondence.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,15 +21,6 @@ import numpy as np
 from .errors import InputError
 
 INT64_MAX = int(np.iinfo(np.int64).max)
-
-
-def hamming(a: Sequence, b: Sequence) -> int:
-    """Number of positions where two equal-length sequences differ."""
-    if len(a) != len(b):
-        raise InputError(
-            f"hamming distance needs equal-length sequences, got lengths {len(a)} and {len(b)}"
-        )
-    return sum(x != y for x, y in zip(a, b))
 
 
 def time_offset_base(m: int) -> int:
@@ -86,6 +78,131 @@ class DistanceSpace:
     def diameter(self) -> int:
         """Largest pairwise distance (0 for fewer than two points)."""
         return int(self.dist.max()) if self.n >= 2 else 0
+
+    def diameter_bound(self) -> int:
+        """An upper bound on the diameter that is cheap to find: here the
+        diameter itself."""
+        return self.diameter()
+
+    def unit_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs i < j at distance 1, in row-major order."""
+        return np.nonzero(np.triu(self.dist == 1, k=1))
+
+
+# Elements compared at once by the Hamming kernels, so memory stays bounded
+# however many rows share a bucket.
+_BLOCK = 1 << 20
+
+
+def _hamming_rows(codes: np.ndarray):
+    """Row blocks of the Hamming matrix of ``codes``, top to bottom."""
+    n, length = codes.shape
+    rows = max(1, _BLOCK // max(n * length, 1))
+    for start in range(0, n, rows):
+        block = codes[start : start + rows, None, :] != codes[None, :, :]
+        yield block.sum(axis=2, dtype=np.int64)
+
+
+def hamming_matrix(codes: np.ndarray) -> np.ndarray:
+    """The n x n int64 Hamming matrix of the rows of ``codes``, in row blocks."""
+    n = len(codes)
+    dist = np.empty((n, n), dtype=np.int64)
+    start = 0
+    for block in _hamming_rows(codes):
+        dist[start : start + len(block)] = block
+        start += len(block)
+    return dist
+
+
+def later_pairs(later: np.ndarray, start: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Each position p = start, start + 1, ... paired with each of the
+    ``later[p - start]`` positions right after it, as two index arrays in
+    (p, partner) order."""
+    first = np.repeat(np.arange(start, start + later.size), later)
+    # the k-th pair of p takes the partner p + 1 + k
+    before = np.cumsum(later) - later
+    second = np.repeat(np.arange(start + 1, start + later.size + 1) - before, later)
+    second += np.arange(second.size)
+    return first, second
+
+
+def _bucket_pairs(key: np.ndarray, width: int):
+    """The pairs a < b of rows with equal ``key`` rows, in chunks of about
+    ``_BLOCK // width`` pairs.
+
+    Rows are grouped by key with a stable sort, so within a group they
+    ascend, and each row pairs with the later rows of its group."""
+    n = len(key)
+    if key.shape[1]:
+        bucket = np.unique(key, axis=0, return_inverse=True)[1].ravel()
+    else:
+        bucket = np.zeros(n, dtype=np.int64)
+    rows = np.argsort(bucket, kind="stable")
+    grouped = bucket[rows]
+    later = np.searchsorted(grouped, grouped, side="right") - np.arange(n) - 1
+    before = np.concatenate(([0], np.cumsum(later)))  # pairs of earlier rows
+    budget = max(1, _BLOCK // max(width, 1))
+    lo = 0
+    while lo < n:
+        hi = max(lo + 1, int(np.searchsorted(before, before[lo] + budget, "right")) - 1)
+        first, second = later_pairs(later[lo:hi], lo)
+        yield rows[first], rows[second]
+        lo = hi
+
+
+class SequenceSpace(DistanceSpace):
+    """Distinct aligned sequences under the Hamming distance.
+
+    ``codes`` holds one row of character codes per point, in ``point_ids``
+    order, and no two rows are equal.  The n x n matrix ``dist`` is built on
+    first read, in row blocks.  The default deformed route never reads it:
+    it takes the unit-distance pairs from ``unit_edges`` and the int64 bound
+    from the sequence length.
+    """
+
+    def __init__(self, point_ids: Sequence[str], codes: np.ndarray) -> None:
+        ids = tuple(point_ids)
+        if codes.ndim != 2 or len(codes) != len(ids):
+            raise InputError(f"{len(ids)} point ids but codes of shape {codes.shape}")
+        if len(set(ids)) != len(ids):
+            raise InputError("point ids must be pairwise distinct")
+        object.__setattr__(self, "point_ids", ids)
+        object.__setattr__(self, "codes", codes)
+
+    @cached_property
+    def dist(self) -> np.ndarray:
+        return hamming_matrix(self.codes)
+
+    def diameter(self) -> int:
+        """Largest pairwise distance, one row block at a time."""
+        return max((int(b.max()) for b in _hamming_rows(self.codes)), default=0)
+
+    def diameter_bound(self) -> int:
+        """The sequence length, which no Hamming distance exceeds."""
+        return self.codes.shape[1]
+
+    def unit_edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs i < j at Hamming distance 1, in row-major order, with no
+        n x n array.
+
+        By pigeonhole, two rows at distance 1 agree exactly on one of their
+        two halves.  So the rows are bucketed by each half, and only pairs in
+        a bucket are compared, on the other half."""
+        n, length = self.codes.shape
+        half = length // 2
+        found_i, found_j = [], []
+        for key, rest in (
+            (self.codes[:, :half], self.codes[:, half:]),
+            (self.codes[:, half:], self.codes[:, :half]),
+        ):
+            for a, b in _bucket_pairs(key, rest.shape[1]):
+                unit = (rest[a] != rest[b]).sum(axis=1) == 1
+                found_i.append(a[unit])
+                found_j.append(b[unit])
+        i = np.concatenate(found_i, dtype=np.int64)
+        j = np.concatenate(found_j, dtype=np.int64)
+        order = np.argsort(i * n + j)
+        return i[order], j[order]
 
 
 @dataclass(frozen=True)
@@ -178,12 +295,16 @@ class ScaleSchedule:
 def check_horizon(space: DistanceSpace, m: int) -> int:
     """The offset base N for horizon m, once N*max(h, 1) + m fits in int64.
 
-    That sum bounds every deformed value and N itself.  Raises InputError
+    That sum bounds every deformed value and N itself.  The space's cheap
+    diameter bound decides first (for sequences, their length); only when
+    that bound does not fit is the exact diameter found.  Raises InputError
     otherwise, so an input ``deform`` cannot represent is rejected by every
     subcommand rather than wrapped around or looped over step by step.
     """
     base = time_offset_base(m)
-    h = max(space.diameter(), 1)
+    h = max(space.diameter_bound(), 1)
+    if base * h + m > INT64_MAX:
+        h = max(space.diameter(), 1)
     if base * h + m > INT64_MAX:
         raise InputError(
             f"deformed distances overflow int64: N*max(h, 1) + m = "
@@ -204,25 +325,65 @@ def deform(space: DistanceSpace, labels: TimeLabels) -> np.ndarray:
     return scaled
 
 
-def dedupe_zero_distance(
-    point_ids: Sequence[str], dist: np.ndarray
-) -> tuple[tuple[str, ...], np.ndarray, dict[str, str]]:
-    """Merge points at pairwise distance 0.
+def deformed_unit_edges(
+    space: DistanceSpace, labels: TimeLabels
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pairs i < j whose deformed distance is at most 2N - 1, with that
+    distance, and no matrix.
 
-    Each zero-distance group keeps its lexicographically least id, and the
-    groups are ordered by that id.  Distances between merged groups are the
-    minimum over cross pairs.  Returns ``(ids, matrix, merges)`` where
-    ``merges`` maps each dropped id to the id it was merged into; the caller
-    derives the kept points' time labels from ``merges``.
+    N*h + max(D) <= 2N - 1 needs h = 1, because h >= 1 and every label is
+    below N.  So these are the unit-distance pairs, row-major, each at N plus
+    the larger label of its ends: the deformed complex up to 2N - 1 is a
+    lower-star filtration of the unit-distance graph.
+    """
+    base = check_horizon(space, labels.m)
+    i, j = space.unit_edges()
+    lab = labels.vector(space.point_ids)
+    return i, j, base + np.maximum(lab[i], lab[j])
+
+
+def dedupe_zero_distance(
+    point_ids: Sequence[str], group: np.ndarray
+) -> tuple[tuple[str, ...], np.ndarray, dict[str, str]]:
+    """Merge the points of each zero-distance group; the one merge rule of
+    both parsers.
+
+    ``group[k]`` names point k's group: points at distance 0, closed under
+    chains of such pairs.  Each group keeps its lexicographically least id.
+    With no merge the points keep their order; otherwise the kept points are
+    ordered by id.  Returns ``(ids, slot, merges)``: ``slot[k]`` is the
+    position in ``ids`` of point k's kept point, and ``merges`` maps each
+    dropped id to the id it was merged into; the caller derives the kept
+    points' time labels from ``merges``.
     """
     ids = list(point_ids)
-    d = np.asarray(dist, dtype=np.int64)
     n = len(ids)
-    zi, zj = np.nonzero(np.triu(d == 0, k=1))
-    if not zi.size:
-        return tuple(ids), d, {}
+    kind = np.unique(np.asarray(group), return_inverse=True)[1].ravel()
+    if kind.size == 0 or kind.max() + 1 == n:
+        return tuple(ids), np.arange(n), {}
+    # points in id order: the first point met of each group is its kept one,
+    # and the groups are met in the order of their kept ids
+    least: dict[int, int] = {}
+    kind_of = kind.tolist()
+    for k in sorted(range(n), key=ids.__getitem__):
+        least.setdefault(kind_of[k], k)
+    position = np.empty(len(least), dtype=np.int64)
+    position[list(least)] = np.arange(len(least))
+    slot = position[kind]
+    kept = tuple(ids[k] for k in least.values())
+    merges = {}
+    into = slot.tolist()
+    for k in np.argsort(slot, kind="stable").tolist():  # by kept point, then file
+        if ids[k] != kept[into[k]]:
+            merges[ids[k]] = kept[into[k]]
+    return kept, slot, merges
 
-    parent = list(range(n))
+
+def group_zero_distance(dist: np.ndarray) -> np.ndarray:
+    """Each point's group under chains of distance-0 pairs, named by one
+    member: a union-find over the zero entries of the upper triangle."""
+    d = np.asarray(dist)
+    parent = list(range(len(d)))
 
     def find(i: int) -> int:
         while parent[i] != i:
@@ -230,43 +391,49 @@ def dedupe_zero_distance(
             i = parent[i]
         return i
 
+    zi, zj = np.nonzero(np.triu(d == 0, k=1))
     for i, j in zip(zi.tolist(), zj.tolist()):
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[rj] = ri
+    return np.array([find(i) for i in range(len(d))], dtype=np.int64)
 
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
 
-    # Keep groups ordered by their lexicographically least member id.
-    members = sorted(groups.values(), key=lambda g: min(ids[i] for i in g))
-    kept_ids = []
-    merges: dict[str, str] = {}
-    for g in members:
-        keep = min(g, key=lambda i: ids[i])
-        kept_ids.append(ids[keep])
-        for i in g:
-            if i != keep:
-                merges[ids[i]] = ids[keep]
-
-    # Cross-group minima: reduce the group-sorted matrix over row blocks, then
-    # over column blocks, and mirror the upper triangle.
-    order = [i for g in members for i in g]
-    starts = np.cumsum([0] + [len(g) for g in members[:-1]])
+def merge_distances(dist: np.ndarray, slot: np.ndarray) -> np.ndarray:
+    """The matrix between merged points: the minimum over cross pairs of two
+    groups, where ``slot`` maps each point to its merged position."""
+    d = np.asarray(dist, dtype=np.int64)
+    if np.array_equal(slot, np.arange(len(d))):
+        return d
+    # reduce the group-sorted matrix over row blocks, then over column
+    # blocks, and mirror the upper triangle
+    order = np.argsort(slot, kind="stable")
+    starts = np.searchsorted(slot[order], np.arange(slot.max() + 1))
     sub = d[np.ix_(order, order)]
     new = np.minimum.reduceat(np.minimum.reduceat(sub, starts, axis=0), starts, axis=1)
     new = np.triu(new, k=1)
-    return tuple(kept_ids), new + new.T, merges
+    return new + new.T
+
+
+def _encode(sequences: Sequence[str]) -> np.ndarray:
+    """Equal-length strings as an n x L array of character codes: uint8 for
+    ASCII text, else uint32 code points."""
+    text = "".join(sequences)
+    if text.isascii():
+        flat = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    else:
+        flat = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype=np.uint32)
+    return flat.reshape(len(sequences), len(sequences[0]))
 
 
 def build_space_from_sequences(
-    records: Sequence[tuple[str, Sequence]],
-) -> tuple[DistanceSpace, dict[str, str]]:
-    """Pairwise Hamming distance space from (id, sequence) records.
+    records: Sequence[tuple[str, str]],
+) -> tuple[SequenceSpace, dict[str, str]]:
+    """Hamming distance space from (id, sequence) records.
 
-    Identical sequences are merged (lexicographically least id kept); the
-    returned dict reports dropped id -> kept id.
+    Identical sequences are merged by ``dedupe_zero_distance``
+    (lexicographically least id kept); the returned dict reports dropped id
+    -> kept id.  No distance is computed here: see ``SequenceSpace``.
     """
     if not records:
         raise InputError("no sequence records given")
@@ -281,10 +448,10 @@ def build_space_from_sequences(
                 f"sequences must have equal length: {ref_id!r} has {len(ref_seq)}, "
                 f"{rid!r} has {len(seq)}"
             )
-    n = len(records)
-    d = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = hamming(records[i][1], records[j][1])
-    ids2, d2, merges = dedupe_zero_distance(ids, d)
-    return DistanceSpace(ids2, d2), merges
+    rows, row_of = np.unique(
+        _encode([seq for _, seq in records]), axis=0, return_inverse=True
+    )
+    ids2, slot, merges = dedupe_zero_distance(ids, row_of)
+    kept_row = np.empty(len(ids2), dtype=np.int64)
+    kept_row[slot] = row_of.ravel()
+    return SequenceSpace(ids2, rows[kept_row]), merges

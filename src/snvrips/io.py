@@ -34,6 +34,8 @@ from .distance import (
     TimeLabels,
     build_space_from_sequences,
     dedupe_zero_distance,
+    group_zero_distance,
+    merge_distances,
 )
 from .errors import InputError
 from .oracle import OracleReport
@@ -43,6 +45,9 @@ from .pipeline import (
     SnvReport,
     StabilityReport,
 )
+
+
+BOM = "\ufeff"  # written first by some editors (Excel, Notepad)
 
 
 @dataclass
@@ -137,9 +142,10 @@ def _parse_metadata(text: str) -> dict[str, int]:
 def parse_sequences(
     fasta_text: str, metadata_text: str, horizon: int | None = None
 ) -> InputBundle:
-    """Resolve sequence records plus time metadata into a labelled space."""
-    records = _parse_fasta(fasta_text)
-    times = _parse_metadata(metadata_text)
+    """Resolve sequence records plus time metadata into a labelled space.
+    A leading byte-order mark in either text is dropped."""
+    records = _parse_fasta(fasta_text.removeprefix(BOM))
+    times = _parse_metadata(metadata_text.removeprefix(BOM))
     for rid, _ in records:
         if rid not in times:
             raise InputError(f"no metadata row for sequence id {rid!r}")
@@ -169,7 +175,9 @@ def _raise_bad_cell(k: int, cells: list[str]) -> None:
 def parse_matrix(
     matrix_text: str, times_text: str, horizon: int | None = None
 ) -> InputBundle:
-    """Resolve a lower-triangular distance file plus a time vector."""
+    """Resolve a lower-triangular distance file plus a time vector.  A
+    leading byte-order mark in either text is dropped."""
+    matrix_text, times_text = matrix_text.removeprefix(BOM), times_text.removeprefix(BOM)
     time_lines = [ln.strip() for ln in times_text.splitlines() if ln.strip()]
     if not time_lines:
         raise InputError("time vector is empty")
@@ -204,8 +212,9 @@ def parse_matrix(
 
     ids = tuple(f"p{i}" for i in range(n))
     times = dict(zip(ids, times_list))
-    ids2, dist2, merges = dedupe_zero_distance(ids, dist)
-    return _merged_bundle(DistanceSpace(ids2, dist2), merges, times, horizon, "distance 0")
+    ids2, slot, merges = dedupe_zero_distance(ids, group_zero_distance(dist))
+    space = DistanceSpace(ids2, merge_distances(dist, slot))
+    return _merged_bundle(space, merges, times, horizon, "distance 0")
 
 
 def _bar_dict(bar) -> dict:

@@ -24,10 +24,16 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distance import DistanceSpace, ScaleSchedule, TimeLabels, deform
+from .distance import (
+    DistanceSpace,
+    ScaleSchedule,
+    TimeLabels,
+    deform,
+    deformed_unit_edges,
+)
 from .errors import InputError
 from .persistence import Chain, barcode_h1, nonzero_sweep
-from .rips import FilteredComplex, build_rips, restrict_to_step
+from .rips import Edges, FilteredComplex, build_rips, matrix_edges, restrict_to_step
 
 Representative = tuple[tuple[str, str, int], ...]
 
@@ -146,7 +152,7 @@ def _classical_step(
 ) -> tuple[int, list[SnvBar]]:
     sub = restrict_to_step(space, labels, i)
     step_cap = sub.diameter() if cap is None else cap
-    cplx = build_rips(sub.dist, step_cap)
+    cplx = build_rips(matrix_edges(sub.dist, step_cap), step_cap)
     barcode = barcode_h1(cplx, p)
     bars = [
         SnvBar(
@@ -217,22 +223,30 @@ def deformed_snv(
     ``ScaleSchedule(m).step_of`` decodes both ends of a bar: bars born in
     [N, N+m] become SNV bars with birth_step = birth - N, and a death value
     beyond N+m means the class is alive through the horizon.
+
+    At the default cap the complex is the lower-star filtration of the
+    unit-distance graph (``deformed_unit_edges``), built with no n x n
+    matrix; an explicit cap deforms the whole matrix.
     """
-    scaled = deform(space, labels)
     schedule = ScaleSchedule(labels.m)
     if cap is None:
         cap_value = schedule.kappa(labels.m + 1) - 1
-    elif cap == "full":
-        cap_value = int(scaled.max(initial=0))
+        edges = Edges(space.n, *deformed_unit_edges(space, labels))
     else:
-        cap_value = int(cap)
-        if cap_value < schedule.kappa(labels.m):
-            raise InputError(
-                f"deformed cap {cap_value} is below N+m = {schedule.kappa(labels.m)}; "
-                "it would cut off the first scale block [N, N+m]"
-            )
+        scaled = deform(space, labels)
+        if cap == "full":
+            cap_value = int(scaled.max(initial=0))
+        else:
+            cap_value = int(cap)
+            if cap_value < schedule.kappa(labels.m):
+                raise InputError(
+                    f"deformed cap {cap_value} is below N+m = "
+                    f"{schedule.kappa(labels.m)}; "
+                    "it would cut off the first scale block [N, N+m]"
+                )
+        edges = matrix_edges(scaled, cap_value)
 
-    cplx = build_rips(scaled, cap_value)
+    cplx = build_rips(edges, cap_value)
     barcode = barcode_h1(cplx, p)
 
     bars, chains = [], []

@@ -1,18 +1,24 @@
-"""Vietoris-Rips filtered complexes of dimension <= 2 over integer matrices.
+"""Vietoris-Rips filtered complexes of dimension <= 2 over an edge list.
 
-The complex is the clique complex of the edge graph {d <= cap}: edges come
-from the upper triangle of the thresholded matrix, and the triangles through
-vertex i are the edges among i's higher-numbered neighbours, so no vertex
-triple outside the graph is ever examined.  Simplices are ordered by (value,
-dimension, vertex tuple) with one lexsort; the order is total and
-face-respecting, so downstream matrix reduction is deterministic.  The
-complex is stored as arrays in that order: each simplex's value, and its
-vertices padded with -1 to three columns.  The builder also gives each edge
-and triangle its faces as ranks (a simplex's rank counts the simplices of
-its dimension before it), found with ``searchsorted`` on edge keys.  These
-arrays are the only boundary representation: every reader of a face, the
-reduction included, uses them.  The list of ``Simplex`` tuples is a lazy
-view built on first access; no solve reads it.
+``build_rips`` is the one builder.  It takes a graph's edges in row-major
+order (``Edges``: i < j, keys i*n + j ascending) with a value each, and
+returns the clique complex up to dimension 2.  Matrix callers get the edges
+of {d <= cap} from ``matrix_edges``; the default deformed route passes the
+unit-distance edges alone, so it needs no n x n matrix.  Triangles are the
+closed wedges: each pair of higher neighbours (j, k) of a vertex i whose
+closing edge ``searchsorted`` finds among the edge keys, all at once in
+numpy, so no vertex triple outside the graph is ever examined.  A
+triangle's value and its face ranks come from its three edge indices.
+
+Simplices are ordered by (value, dimension, vertex tuple) with one lexsort;
+the order is total and face-respecting, so downstream matrix reduction is
+deterministic.  The complex is stored as arrays in that order: each
+simplex's value, and its vertices padded with -1 to three columns.  The
+builder also gives each edge and triangle its faces as ranks (a simplex's
+rank counts the simplices of its dimension before it).  These arrays are the
+only boundary representation: every reader of a face, the reduction
+included, uses them.  The list of ``Simplex`` tuples is a lazy view built on
+first access; no solve reads it.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distance import DistanceSpace, TimeLabels
+from .distance import DistanceSpace, TimeLabels, later_pairs
 from .errors import InputError
 
 
@@ -77,13 +83,18 @@ class FilteredComplex:
         ]
 
 
-def build_rips(dist, cap: int) -> FilteredComplex:
-    """All simplices of dimension <= 2 whose pairwise distances are <= cap.
+class Edges(NamedTuple):
+    """A graph on the vertices 0..n-1: edge k joins i[k] < j[k] at value[k].
+    Edges are listed in row-major order, so the keys i*n + j ascend."""
 
-    Vertices enter at value 0, an edge at its distance, a triangle at the max
-    of its three edge values.  Triangles are the 3-cliques of the edge graph:
-    for each vertex i, the edges among its higher-numbered neighbours.
-    """
+    n: int
+    i: np.ndarray
+    j: np.ndarray
+    value: np.ndarray
+
+
+def matrix_edges(dist, cap: int) -> Edges:
+    """The pairs of a symmetric matrix with zero diagonal at or below cap."""
     d = np.asarray(dist, dtype=np.int64)
     if d.ndim != 2 or d.shape[0] != d.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {d.shape}")
@@ -91,22 +102,44 @@ def build_rips(dist, cap: int) -> FilteredComplex:
         raise ValueError("distance matrix must be symmetric with zero diagonal")
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
+    i, j = np.nonzero(np.triu(d <= cap, k=1))
+    return Edges(d.shape[0], i, j, d[i, j])
 
-    n = d.shape[0]
-    adj = np.triu(d <= cap, k=1)
-    ei, ej = np.nonzero(adj)
-    tri = [np.zeros((0, 3), dtype=np.int64)]
-    for i in range(n):
-        up = np.flatnonzero(adj[i])
-        if up.size >= 2:
-            # adj is strictly upper triangular and up ascending, so the
-            # sub-adjacency is too: each (a, b) is one triangle (i, up[a], up[b])
-            a, b = np.nonzero(adj[np.ix_(up, up)])
-            tri.append(np.column_stack((np.full(a.size, i), up[a], up[b])))
-    ti, tj, tk = np.concatenate(tri).T
-    tv = np.maximum(np.maximum(d[ti, tj], d[ti, tk]), d[tj, tk])
 
-    value = np.concatenate((np.zeros(n, dtype=np.int64), d[ei, ej], tv))
+def _triangles(edges: Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every triangle (i, j, k) of the graph as the indices of its edges
+    (i, j), (i, k) and (j, k).
+
+    Vertex i's edges to higher vertices are one run of the row-major list,
+    so each wedge (i, j), (i, k) with j < k pairs an edge with a later edge
+    of its run; ``searchsorted`` finds the closing edge (j, k) among the
+    edge keys, if the graph has it.  The wedge arrays are freed on return,
+    before the builder sorts."""
+    n, ei, ej, _ = edges
+    ij, ik = later_pairs(np.searchsorted(ei, ei, side="right") - np.arange(ei.size) - 1)
+    keys = ei * n + ej
+    want = ej[ij] * n
+    want += ej[ik]
+    jk = np.searchsorted(keys, want)
+    np.minimum(jk, keys.size - 1, out=jk)
+    found = keys[jk] == want
+    return ij[found], ik[found], jk[found]
+
+
+def build_rips(edges: Edges, cap: int) -> FilteredComplex:
+    """The clique complex of ``edges`` in dimension <= 2, filtered by value.
+
+    Vertices enter at value 0, an edge at its value, a triangle at the max
+    of its three edge values.  Every edge value must be at most ``cap``.
+    """
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    n, ei, ej, ev = edges
+    ij, ik, jk = _triangles(edges)
+    ti, tj, tk = ei[ij], ej[ij], ej[ik]
+    tv = np.maximum(np.maximum(ev[ij], ev[ik]), ev[jk])
+
+    value = np.concatenate((np.zeros(n, dtype=np.int64), ev, tv))
     dim = np.repeat([0, 1, 2], [n, ei.size, ti.size])
     pad = np.full(n + ei.size, -1, dtype=np.int64)
     v0 = np.concatenate((np.arange(n, dtype=np.int64), ei, ti))
@@ -115,17 +148,15 @@ def build_rips(dist, cap: int) -> FilteredComplex:
     order = np.lexsort((v2, v1, v0, dim, value))
 
     # Ranks: edges and triangles, each in filtration order, as indices into
-    # (ei, ej) and (ti, tj, tk).  np.nonzero lists edges in row-major order,
-    # so their keys i * n + j ascend and searchsorted finds each face.
+    # the edge list and the triangle arrays.
     by_dim = tuple(np.flatnonzero(dim[order] == k) for k in range(3))
     edge_at = order[by_dim[1]] - n
     tri_at = order[by_dim[2]] - n - ei.size
     edge_rank = np.empty(ei.size, dtype=np.int64)
     edge_rank[edge_at] = np.arange(ei.size)
-    face_keys = np.column_stack((tj * n + tk, ti * n + tk, ti * n + tj))[tri_at]
     faces = (
         np.column_stack((ej, ei))[edge_at],
-        edge_rank[np.searchsorted(ei * n + ej, face_keys)],
+        edge_rank[np.column_stack((jk, ik, ij))[tri_at]],
     )
 
     vertices = np.column_stack((v0, v1, v2))[order]

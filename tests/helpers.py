@@ -8,12 +8,29 @@ import numpy as np
 from snvrips import (
     DistanceSpace,
     FilteredComplex,
+    InputError,
     RandomInstanceSpec,
     TimeLabels,
+    build_rips,
     random_instance,
 )
-from snvrips.rips import Simplex
+from snvrips.rips import Simplex, matrix_edges
 from snvrips.pipeline import SnvReport
+
+
+def hamming(a, b) -> int:
+    """Reference Hamming distance: positions where two equal-length
+    sequences differ, one pair of letters at a time."""
+    if len(a) != len(b):
+        raise InputError(
+            f"hamming distance needs equal-length sequences, got lengths {len(a)} and {len(b)}"
+        )
+    return sum(x != y for x, y in zip(a, b))
+
+
+def matrix_rips(dist, cap: int) -> FilteredComplex:
+    """``build_rips`` over the pairs of a matrix at or below cap."""
+    return build_rips(matrix_edges(dist, cap), cap)
 
 
 def square_space() -> DistanceSpace:

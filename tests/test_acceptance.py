@@ -16,7 +16,6 @@ from snvrips import (
     barcode_h1,
     benchmark,
     betti1_bruteforce,
-    build_rips,
     classical_snv,
     deform,
     deformed_snv,
@@ -31,7 +30,13 @@ from snvrips import (
 from snvrips.distance import ScaleSchedule
 from snvrips.rips import restrict_to_step
 
-from helpers import chain_boundary, chain_of_ids, square_space, suite_instance
+from helpers import (
+    chain_boundary,
+    chain_of_ids,
+    matrix_rips,
+    square_space,
+    suite_instance,
+)
 
 SUITE_SEEDS = range(200)
 
@@ -98,7 +103,7 @@ def test_4_engine_matches_oracle_at_every_value():
         space, labels, p = suite_instance(seed)
         scaled = deform(space, labels)
         cap = 2 * time_offset_base(labels.m) - 1
-        barcode = barcode_h1(build_rips(scaled, cap), p)
+        barcode = barcode_h1(matrix_rips(scaled, cap), p)
         for v in range(cap + 1):
             assert barcode.count_alive(v) == betti1_bruteforce(scaled, v, p), (
                 f"seed {seed}, value {v}"
@@ -142,7 +147,7 @@ def test_6_representative_validity():
         cl = classical_snv(space, labels, p)
         for bar in cl.bars:
             sub = restrict_to_step(space, labels, bar.birth_step)
-            cplx = build_rips(sub.dist, cl.caps_by_step[bar.birth_step])
+            cplx = matrix_rips(sub.dist, cl.caps_by_step[bar.birth_step])
             chain = chain_of_ids(cplx, sub.point_ids, bar.representative)
             assert_representative_valid(
                 cplx, chain, bar.birth_value, bar.death_value, p

@@ -3,6 +3,7 @@ import json
 import pytest
 
 import snvrips.cli as cli
+import snvrips.distance
 from snvrips.pipeline import CorrespondenceReport
 
 MATRIX = "1\n2 1\n1 2 1\n"
@@ -351,3 +352,43 @@ def test_deformed_cap_below_n_plus_m_rejected(capsys):
     for cap in ("112", "150", "199"):
         assert cli.main(args + ["--cap", cap]) == 0
         assert capsys.readouterr().out == default
+
+
+# a unit square AA-AC-CC-CA closing at step 1, and a copy of AA merged into s1
+SQUARE_FASTA = ">s1\nAA\n>s2\nAC\n>s3\nCC\n>s4\nCA\n>s5\nAA\n"
+SQUARE_META = "id\ttime\ns1\t0\ns2\t0\ns3\t1\ns4\t1\ns5\t1\n"
+
+
+def test_default_deformed_on_sequences_never_builds_the_hamming_matrix(
+    monkeypatch, tmp_path, capsys
+):
+    def refuse(codes):
+        raise AssertionError("dense Hamming matrix built")
+
+    monkeypatch.setattr(snvrips.distance, "hamming_matrix", refuse)
+    fasta, meta = tmp_path / "seqs.fa", tmp_path / "meta.tsv"
+    fasta.write_text(SQUARE_FASTA)
+    meta.write_text(SQUARE_META)
+    files = ["--sequences", str(fasta), "--metadata", str(meta)]
+    assert cli.main(["deformed", *files]) == 0
+    assert json.loads(capsys.readouterr().out)["per_step_counts"] == [0, 1]
+    assert cli.main(["deformed", "--stability", *files]) == 0
+    assert json.loads(capsys.readouterr().out)["stability"]["violations"] == []
+    # the classical side of compare still reads the dense matrix
+    with pytest.raises(AssertionError, match="dense Hamming matrix built"):
+        cli.main(["compare", *files])
+
+
+@pytest.mark.parametrize("command", ["classical", "deformed", "compare", "oracle", "bench"])
+def test_sequence_horizon_overflow_names_the_exact_diameter(command, tmp_path, capsys):
+    # length 6 but diameter 2: the length bound overflows, so the exact
+    # diameter is found, and the message names it
+    fasta, meta = tmp_path / "seqs.fa", tmp_path / "meta.tsv"
+    fasta.write_text(">s1\nAAAAAA\n>s2\nAAAACC\n>s3\nAAAAAC\n")
+    meta.write_text("id\ttime\ns1\t0\ns2\t1\ns3\t1\n")
+    argv = [command, "--sequences", str(fasta), "--metadata", str(meta)]
+    assert cli.main(argv + ["--horizon", str(10**18)]) == 1
+    assert capsys.readouterr().err == (
+        "error: deformed distances overflow int64: N*max(h, 1) + m = "
+        "10000000000000000000*2 + 1000000000000000000 exceeds 9223372036854775807\n"
+    )

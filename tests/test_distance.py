@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import snvrips.distance
+
 from snvrips import (
     DistanceSpace,
     InputError,
@@ -11,9 +13,14 @@ from snvrips import (
     parse_sequences,
     time_offset_base,
 )
-from snvrips.distance import ScaleSchedule, check_horizon, hamming
+from snvrips.distance import (
+    ScaleSchedule,
+    check_horizon,
+    group_zero_distance,
+    merge_distances,
+)
 
-from helpers import square_space, suite_instance
+from helpers import hamming, square_space, suite_instance
 
 
 def test_hamming_counts_mismatches():
@@ -168,6 +175,19 @@ def test_deform_rejects_int64_overflow():
         check_horizon(edge, m + 1)
 
 
+def test_sequence_horizon_needs_the_diameter_only_past_the_length_bound(monkeypatch):
+    space, _ = build_space_from_sequences([("a", "A" * 10), ("b", "CC" + "A" * 8)])
+    # N*L + m = 10^18 * 10 + 10^17 overflows, N*h + m with h = 2 fits
+    assert check_horizon(space, 10**17) == 10**18
+
+    def refuse(codes):
+        raise AssertionError("a distance was computed")
+
+    # under the length bound no distance is computed at all
+    monkeypatch.setattr(snvrips.distance, "_hamming_rows", refuse)
+    assert check_horizon(space, 10**16) == 10**17
+
+
 def test_time_labels_validation():
     with pytest.raises(InputError, match="outside"):
         TimeLabels(2, {"a": 3})
@@ -183,10 +203,11 @@ def test_time_labels_validation():
 def test_dedupe_keeps_least_id_and_label():
     ids = ("z1", "a1", "m1")
     dist = np.array([[0, 0, 2], [0, 0, 3], [2, 3, 0]])
-    ids2, d2, merges = dedupe_zero_distance(ids, dist)
+    ids2, slot, merges = dedupe_zero_distance(ids, group_zero_distance(dist))
     assert ids2 == ("a1", "m1")
+    assert slot.tolist() == [0, 0, 1]
     assert merges == {"z1": "a1"}
-    assert d2[0, 1] == 2  # minimum cross-group distance
+    assert merge_distances(dist, slot)[0, 1] == 2  # minimum cross-group distance
     # the parsers give the kept point the smallest label in the merged group
     fasta, meta = ">z1\nAC\n>a1\nAC\n>m1\nGT\n", "id,time\nz1,0\na1,2\nm1,1\n"
     bundle = parse_sequences(fasta, meta)
@@ -196,20 +217,21 @@ def test_dedupe_keeps_least_id_and_label():
 
 def test_dedupe_no_op_without_zeros():
     space = square_space()
-    ids2, d2, merges = dedupe_zero_distance(space.point_ids, space.dist)
+    groups = group_zero_distance(space.dist)
+    ids2, slot, merges = dedupe_zero_distance(space.point_ids, groups)
     assert ids2 == space.point_ids
     assert merges == {}
-    assert np.array_equal(d2, space.dist)
+    assert np.array_equal(merge_distances(space.dist, slot), space.dist)
 
 
 def test_dedupe_transitive_groups():
     # 0-distance is merged transitively even without an explicit 0 between the ends
     ids = ("a", "b", "c")
     dist = np.array([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
-    ids2, d2, merges = dedupe_zero_distance(ids, dist)
+    ids2, slot, merges = dedupe_zero_distance(ids, group_zero_distance(dist))
     assert ids2 == ("a",)
     assert merges == {"b": "a", "c": "a"}
-    assert d2.shape == (1, 1)
+    assert merge_distances(dist, slot).shape == (1, 1)
 
 
 def test_build_space_from_sequences():

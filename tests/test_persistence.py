@@ -5,7 +5,6 @@ from snvrips import (
     InputError,
     barcode_h1,
     betti1_bruteforce,
-    build_rips,
     deform,
     nonzero_sweep,
     time_offset_base,
@@ -15,6 +14,7 @@ from snvrips.rips import boundary_matrix
 
 from helpers import (
     chain_boundary,
+    matrix_rips,
     position,
     square_space,
     standard_reduction,
@@ -32,7 +32,7 @@ def bar_multiset(barcode):
 
 
 def test_single_edge_is_unpaired_and_creates_nothing():
-    cplx = build_rips(np.array([[0, 2], [2, 0]]), cap=2)
+    cplx = matrix_rips(np.array([[0, 2], [2, 0]]), cap=2)
     result = reduce_with_basis(cplx, 2)
     assert result.pairing == {}
     assert result.cycle_basis == {}
@@ -41,7 +41,7 @@ def test_single_edge_is_unpaired_and_creates_nothing():
 
 def test_triangle_reduction_by_hand():
     # positions: 0-2 vertices, 3-5 edges, 6 triangle; all simplices at value 1
-    cplx = build_rips(unit_triangle().dist, cap=1)
+    cplx = matrix_rips(unit_triangle().dist, cap=1)
     result = reduce_with_basis(cplx, 2)
     assert result.pairing == {6: 5}  # the triangle kills the cycle its last edge made
     assert set(result.cycle_basis) == {5}
@@ -51,7 +51,7 @@ def test_triangle_reduction_by_hand():
 
 
 def test_square_barcode():
-    cplx = build_rips(square_space().dist, cap=2)
+    cplx = matrix_rips(square_space().dist, cap=2)
     barcode = barcode_h1(cplx, 2)
     assert len(barcode.bars) == 1
     bar = barcode.bars[0]
@@ -64,7 +64,7 @@ def test_square_barcode():
 
 
 def test_square_capped_below_diameter():
-    cplx = build_rips(square_space().dist, cap=1)
+    cplx = matrix_rips(square_space().dist, cap=1)
     barcode = barcode_h1(cplx, 2)
     assert len(barcode.bars) == 1
     bar = barcode.bars[0]
@@ -75,7 +75,7 @@ def test_square_capped_below_diameter():
 
 
 def test_two_points_empty_barcode():
-    cplx = build_rips(np.array([[0, 1], [1, 0]]), cap=1)
+    cplx = matrix_rips(np.array([[0, 1], [1, 0]]), cap=1)
     assert barcode_h1(cplx, 2).bars == []
 
 
@@ -86,7 +86,7 @@ def test_cycle_basis_chains_are_cycles_keyed_by_their_youngest_edge():
             (space.dist, space.diameter()),
             (deform(space, labels), 2 * time_offset_base(labels.m) - 1),
         ):
-            cplx = build_rips(matrix, cap=cap)
+            cplx = matrix_rips(matrix, cap=cap)
             result = reduce_with_basis(cplx, p)
             # every cleared edge (paired with a triangle) has a cycle too
             assert set(result.pairing.values()) <= set(result.cycle_basis)
@@ -98,7 +98,7 @@ def test_cycle_basis_chains_are_cycles_keyed_by_their_youngest_edge():
 def test_representatives_are_cycles_born_at_their_birth():
     for seed in range(12):
         space, labels, p = suite_instance(seed)
-        cplx = build_rips(space.dist, cap=space.diameter())
+        cplx = matrix_rips(space.dist, cap=space.diameter())
         for bar in barcode_h1(cplx, p).bars:
             assert chain_boundary(cplx, bar.representative, p) == {}
             assert all(v % p for v in bar.representative.values())
@@ -109,7 +109,7 @@ def test_representatives_are_cycles_born_at_their_birth():
 def test_alive_counts_match_dense_oracle():
     for seed in range(25):
         space, labels, p = suite_instance(seed)
-        cplx = build_rips(space.dist, cap=space.diameter())
+        cplx = matrix_rips(space.dist, cap=space.diameter())
         barcode = barcode_h1(cplx, p)
         for v in range(space.diameter() + 1):
             assert barcode.count_alive(v) == betti1_bruteforce(space.dist, v, p)
@@ -120,7 +120,7 @@ def test_alive_counts_match_oracle_on_deformed_matrix():
         space, labels, p = suite_instance(seed)
         scaled = deform(space, labels)
         cap = 2 * time_offset_base(labels.m) - 1
-        barcode = barcode_h1(build_rips(scaled, cap=cap), p)
+        barcode = barcode_h1(matrix_rips(scaled, cap=cap), p)
         for v in range(cap + 1):
             assert barcode.count_alive(v) == betti1_bruteforce(scaled, v, p)
 
@@ -128,7 +128,7 @@ def test_alive_counts_match_oracle_on_deformed_matrix():
 def test_finite_bars_die_exactly_at_death():
     for seed in range(12):
         space, labels, p = suite_instance(seed)
-        cplx = build_rips(space.dist, cap=space.diameter())
+        cplx = matrix_rips(space.dist, cap=space.diameter())
         bars = [b for b in barcode_h1(cplx, p).bars if b.death_value is not None]
         for bar in bars:
             thresholds = [bar.death_value - 1, bar.death_value]
@@ -137,7 +137,7 @@ def test_finite_bars_die_exactly_at_death():
 
 
 def test_class_is_nonzero_on_square():
-    cplx = build_rips(square_space().dist, cap=2)
+    cplx = matrix_rips(square_space().dist, cap=2)
     bar = barcode_h1(cplx, 2).bars[0]
     assert nonzero_at(bar.representative, cplx, 1, 2)
     assert not nonzero_at(bar.representative, cplx, 2, 2)
@@ -155,7 +155,7 @@ def test_class_is_nonzero_on_square():
 
 
 def test_class_check_rejects_absent_edges():
-    cplx = build_rips(square_space().dist, cap=2)
+    cplx = matrix_rips(square_space().dist, cap=2)
     diagonal = position(cplx, (0, 2))
     with pytest.raises(InputError, match="enters at value 2"):
         nonzero_at({diagonal: 1}, cplx, 1, 2)
@@ -169,7 +169,7 @@ def test_class_check_rejects_absent_edges():
 
 
 def test_mod_3_coefficients():
-    cplx = build_rips(unit_triangle().dist, cap=1)
+    cplx = matrix_rips(unit_triangle().dist, cap=1)
     result = reduce_with_basis(cplx, 3)
     assert result.pairing == {6: 5}
     chain = result.cycle_basis[5]
@@ -182,12 +182,12 @@ def test_signs_over_f3():
     # side (0,3) runs against the others, so it carries -1 = 2
     cycle = {4: 1, 5: 2, 6: 1, 7: 1}
     for cap in (1, 2):
-        cplx = build_rips(square_space().dist, cap=cap)
+        cplx = matrix_rips(square_space().dist, cap=cap)
         bars = barcode_h1(cplx, 3).bars
         assert [bar.representative for bar in bars] == [cycle]
     # at cap 2 the triangle (0,2,3) kills it, after one addition of (0,1,2)
     # scaled by 2
-    cplx = build_rips(square_space().dist, cap=2)
+    cplx = matrix_rips(square_space().dist, cap=2)
     result = reduce_with_basis(cplx, 3)
     assert result.pairing == {10: 8, 11: 9, 12: 7}
     assert result.reduced[12] == cycle
@@ -200,7 +200,7 @@ def run_both(cplx, p):
 
 def test_empty_complex():
     for n in (0, 1):
-        cplx = build_rips(np.zeros((n, n), dtype=np.int64), cap=0)
+        cplx = matrix_rips(np.zeros((n, n), dtype=np.int64), cap=0)
         for p in (2, 3):
             result = reduce_with_basis(cplx, p)
             assert (result.pairing, result.cycle_basis) == ({}, {})
@@ -215,7 +215,7 @@ def test_edges_without_triangles_are_all_essential():
     np.fill_diagonal(d, 0)
     for i, j in grid:
         d[i, j] = d[j, i] = 1
-    cplx = build_rips(d, cap=1)
+    cplx = matrix_rips(d, cap=1)
     closing = {position(cplx, (3, 4)), position(cplx, (4, 5))}
     for p in (2, 3):
         result, reduced = run_both(cplx, p)
@@ -237,7 +237,7 @@ def test_coboundary_that_needs_an_addition():
     # (0,2) already took as an apparent pair; so its coboundary takes an
     # addition, and it pairs with (0,2,3) instead.
     d = np.array([[0, 2, 3, 1], [2, 0, 2, 3], [3, 2, 0, 1], [1, 3, 1, 0]])
-    cplx = build_rips(d, cap=3)
+    cplx = matrix_rips(d, cap=3)
     named = {pos: cplx.simplices[pos].vertices for pos in (7, 8, 10, 12)}
     assert named == {7: (1, 2), 8: (0, 2), 10: (0, 1, 2), 12: (0, 2, 3)}
     for p in (2, 3):
@@ -253,7 +253,7 @@ def test_fields_agree_when_oracle_does():
     for seed in range(15):
         space, labels, _ = suite_instance(seed)
         d = space.dist
-        cplx = build_rips(d, cap=space.diameter())
+        cplx = matrix_rips(d, cap=space.diameter())
         oracle_same = all(
             betti1_bruteforce(d, v, 2) == betti1_bruteforce(d, v, 3)
             for v in range(space.diameter() + 1)
@@ -264,5 +264,5 @@ def test_fields_agree_when_oracle_does():
 
 def test_barcode_is_deterministic():
     space, labels, p = suite_instance(4)
-    cplx = build_rips(space.dist, cap=space.diameter())
+    cplx = matrix_rips(space.dist, cap=space.diameter())
     assert barcode_h1(cplx, p).bars == barcode_h1(cplx, p).bars

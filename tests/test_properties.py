@@ -4,13 +4,16 @@ against dense Betti numbers over several primes, the homology sweep against
 dense ranks, per-step counts against a brute-force count, zero-distance
 merging in both parsers and against a brute-force merge, the matrix parser's
 first bad cell, the parsers on arbitrary text, a longer horizon against the
-shorter one, a zero-distance copy against the input without it, and the two
-pipelines against the oracle over F_2 to F_7."""
+shorter one, a zero-distance copy against the input without it, the two
+pipelines against the oracle over F_2 to F_7, and the sequences' pigeonhole
+unit edges and default-cap route against Hamming distances and the deformed
+matrix."""
 
 import contextlib
 import io
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,19 +21,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import snvrips.cli as cli
+import snvrips.distance
 from snvrips import (
     DistanceSpace,
     InputError,
     TimeLabels,
     barcode_h1,
-    build_rips,
     classical_snv,
     deformed_snv,
     nonzero_sweep,
     snv_counts_oracle,
+    time_offset_base,
     verify_correspondence,
 )
-from snvrips.distance import INT64_MAX, dedupe_zero_distance
+from snvrips.distance import (
+    INT64_MAX,
+    build_space_from_sequences,
+    dedupe_zero_distance,
+    merge_distances,
+    group_zero_distance,
+)
 from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
 from snvrips.persistence import reduce_with_basis
@@ -41,6 +51,8 @@ from helpers import (
     all_triples_rips,
     brute_force_dedupe,
     chain_boundary,
+    hamming,
+    matrix_rips,
     position,
     standard_reduction,
 )
@@ -63,7 +75,7 @@ def test_clique_builder_matches_all_triples_reference(d, cap):
     diameter = int(d.max()) if d.shape[0] >= 2 else 0
     below_all = int(d[d > 0].min()) - 1 if diameter else 0
     for c in (cap, 0, below_all, diameter):
-        built, reference = build_rips(d, c), all_triples_rips(d, c)
+        built, reference = matrix_rips(d, c), all_triples_rips(d, c)
         for got, want in zip(
             (built.values, built.vertices) + built.by_dim + built.faces,
             (reference.values, reference.vertices) + reference.by_dim + reference.faces,
@@ -79,7 +91,7 @@ def test_engine_matches_standard_reduction(d, p):
     diameter = int(d.max()) if d.shape[0] >= 2 else 0
     below_all = int(d[d > 0].min()) - 1 if diameter else 0
     for cap in (0, below_all, (below_all + diameter) // 2, diameter):
-        cplx = build_rips(d, cap)
+        cplx = matrix_rips(d, cap)
         dims = [s.dim for s in cplx.simplices]
         result = reduce_with_basis(cplx, p)
         reduced = standard_reduction(boundary_matrix(cplx, p), p)
@@ -122,7 +134,7 @@ def test_alive_counts_match_brute_force(m_and_bars):
 @given(symmetric_matrices(max_n=9, max_value=4), st.sampled_from([2, 3, 5, 7]))
 def test_alive_counts_match_dense_betti(d, p):
     diameter = int(d.max()) if d.shape[0] >= 2 else 0
-    barcode = barcode_h1(build_rips(d, diameter), p)
+    barcode = barcode_h1(matrix_rips(d, diameter), p)
     for v in range(diameter + 1):
         assert barcode.count_alive(v) == betti1_bruteforce(d, v, p)
 
@@ -146,7 +158,7 @@ def dense_boundaries(cplx, triangles, edge_row, p) -> np.ndarray:
 )
 def test_nonzero_sweep_matches_dense_rank(d, p, data):
     diameter = int(d.max()) if d.shape[0] >= 2 else 0
-    cplx = build_rips(d, diameter)
+    cplx = matrix_rips(d, diameter)
     edges = [s.vertices for s in cplx.simplices if s.dim == 1]
     edge_row = {e: r for r, e in enumerate(edges)}
     triangles = [pos for pos, s in enumerate(cplx.simplices) if s.dim == 2]
@@ -266,7 +278,8 @@ def semimetrics_with_zero_chains(draw):
 @given(semimetrics_with_zero_chains())
 def test_dedupe_matches_brute_force(case):
     ids, d = case
-    got_ids, got_matrix, got_merges = dedupe_zero_distance(ids, d)
+    got_ids, slot, got_merges = dedupe_zero_distance(ids, group_zero_distance(d))
+    got_matrix = merge_distances(d, slot)
     want_ids, want_matrix, want_merges = brute_force_dedupe(ids, d)
     assert got_ids == want_ids
     assert got_matrix.dtype == np.int64
@@ -404,6 +417,18 @@ def check_parser_and_cli(parse, flags, first, second, horizon, command):
     assert code in ((0, 1) if parsed else (1,))
 
 
+def test_a_byte_order_mark_is_dropped_by_the_parsers_as_by_the_cli():
+    check_parser_and_cli(
+        parse_matrix, ("--matrix", "--times"), "\ufeff1\n", "0\n1\n", None, "deformed"
+    )
+    fasta, meta = "\ufeff>s1\nAC\n", "\ufeffid\ttime\ns1\t0\n"
+    check_parser_and_cli(
+        parse_sequences, ("--sequences", "--metadata"), fasta, meta, None, "deformed"
+    )
+    assert parse_matrix("\ufeff1\n", "\ufeff0\n1\n").space.dist.tolist() == [[0, 1], [1, 0]]
+    assert parse_sequences(fasta, meta).space.point_ids == ("s1",)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.one_of(matrix_inputs(), st.tuples(TEXTS, TEXTS)), HORIZONS, COMMANDS)
 def test_parse_matrix_raises_only_input_error(texts, horizon, command):
@@ -487,3 +512,73 @@ def test_a_zero_distance_copy_leaves_the_counts_unchanged(data):
     assert step_pairs(got) == step_pairs(want)
     classical = classical_snv(merged.space, merged.labels, p, cap=1)
     assert verify_correspondence(classical, got).discrepancies == []
+
+
+LETTERS = "ACGT\u00e9"  # one letter outside ASCII, so the codes are uint32
+
+
+@st.composite
+def sequence_sets(draw):
+    """(id, sequence, time) records of length 1-6 over a few of LETTERS, some
+    of them repeated.  Ids s0, s1, ... sort differently as strings (s10
+    before s2) and come in a shuffled file order."""
+    length = draw(st.integers(1, 6))
+    # few letters make unit-distance squares, and so cycles, likely
+    letters = draw(st.sampled_from(["A\u00e9", "AC", "AC\u00e9", "ACGT", LETTERS]))
+    word = st.text(letters, min_size=length, max_size=length)
+    distinct = draw(st.lists(word, min_size=1, max_size=12))
+    seqs = distinct + draw(st.lists(st.sampled_from(distinct), max_size=4))
+    n = len(seqs)
+    times = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    return [(f"s{k}", seqs[k], times[k]) for k in draw(st.permutations(range(n)))]
+
+
+def check_default_cap_is_the_dense_route(flags, texts, m, p):
+    """``deformed`` (the lower-star route) prints the same bytes as
+    ``deformed --cap 2N-1`` (the deformed matrix)."""
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["deformed", "--prime", str(p)]
+        for flag, text in zip(flags, texts):
+            path = os.path.join(tmp, flag.lstrip("-"))
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            argv += [flag, path]
+        for cap in ([], ["--cap", str(2 * time_offset_base(m) - 1)]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                assert cli.main(argv + cap) == 0
+            outputs.append(out.getvalue())
+    assert outputs[0] == outputs[1]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sequence_sets(), st.sampled_from([2, 3]))
+def test_pigeonhole_unit_edges_and_the_lower_star_route(records, p):
+    space, _ = build_space_from_sequences([(rid, seq) for rid, seq, _ in records])
+    sequence = {rid: seq for rid, seq, _ in records}
+    kept = [sequence[pid] for pid in space.point_ids]
+    h = np.array([[hamming(a, b) for b in kept] for a in kept])
+    want = np.nonzero(np.triu(h == 1))
+    # a tiny block makes every chunked kernel take many chunks
+    for block in (snvrips.distance._BLOCK, 8):
+        with mock.patch.object(snvrips.distance, "_BLOCK", block):
+            for got, expected in zip(space.unit_edges(), want):
+                assert got.dtype == np.int64
+                assert np.array_equal(got, expected)
+            assert np.array_equal(snvrips.distance.hamming_matrix(space.codes), h)
+            assert space.diameter() == h.max()
+    fasta = "".join(f">{rid}\n{seq}\n" for rid, seq, _ in records)
+    meta = "id\ttime\n" + "".join(f"{rid}\t{t}\n" for rid, _, t in records)
+    m = max(t for _, _, t in records)
+    check_default_cap_is_the_dense_route(("--sequences", "--metadata"), (fasta, meta), m, p)
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_matrices(max_n=9, max_value=3, min_n=1), st.data())
+def test_matrix_default_cap_prints_the_dense_route_bytes(d, data):
+    n = d.shape[0]
+    times = data.draw(st.lists(st.integers(0, 12), min_size=n, max_size=n))
+    p = data.draw(st.sampled_from([2, 3]))
+    texts = matrix_files(d, times)
+    check_default_cap_is_the_dense_route(("--matrix", "--times"), texts, max(times), p)

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from snvrips import InputError, build_rips, restrict_to_step
+from snvrips import InputError, restrict_to_step
 from snvrips.rips import Simplex
 from snvrips.rips import boundary_matrix
 
 from helpers import (
     apex_square,
+    matrix_rips,
     position,
     square_labels,
     square_space,
@@ -16,7 +17,7 @@ from helpers import (
 
 
 def test_unit_triangle_complex():
-    cplx = build_rips(unit_triangle().dist, cap=1)
+    cplx = matrix_rips(unit_triangle().dist, cap=1)
     assert [s.vertices for s in cplx.simplices] == [
         (0,), (1,), (2,),
         (0, 1), (0, 2), (1, 2),
@@ -35,12 +36,12 @@ def test_unit_triangle_complex():
 
 def test_two_points_cap_zero():
     d = np.array([[0, 3], [3, 0]])
-    cplx = build_rips(d, cap=0)
+    cplx = matrix_rips(d, cap=0)
     assert [s.vertices for s in cplx.simplices] == [(0,), (1,)]
 
 
 def test_square_complex_values():
-    cplx = build_rips(square_space().dist, cap=2)
+    cplx = matrix_rips(square_space().dist, cap=2)
     edge_values = {s.vertices: s.value for s in cplx.simplices if s.dim == 1}
     assert edge_values == {
         (0, 1): 1, (1, 2): 1, (2, 3): 1, (0, 3): 1,
@@ -53,14 +54,14 @@ def test_square_complex_values():
 
 
 def test_cap_is_inclusive():
-    cplx = build_rips(square_space().dist, cap=1)
+    cplx = matrix_rips(square_space().dist, cap=1)
     assert sum(s.dim == 1 for s in cplx.simplices) == 4  # the four sides
     assert sum(s.dim == 2 for s in cplx.simplices) == 0
 
 
 def test_simplex_order_is_value_dim_lex():
     space, _ = apex_square()
-    cplx = build_rips(space.dist, cap=2)
+    cplx = matrix_rips(space.dist, cap=2)
     keys = [(s.value, s.dim, s.vertices) for s in cplx.simplices]
     assert keys == sorted(keys)
     # a triangle never precedes its faces
@@ -74,24 +75,24 @@ def test_simplex_order_is_value_dim_lex():
 def test_lower_cap_complex_is_prefix_of_higher():
     for seed in range(10):
         space, labels, _ = suite_instance(seed)
-        full = build_rips(space.dist, cap=space.diameter())
+        full = matrix_rips(space.dist, cap=space.diameter())
         for cap in range(space.diameter()):
-            part = build_rips(space.dist, cap=cap)
+            part = matrix_rips(space.dist, cap=cap)
             assert part.simplices == full.simplices[: len(part)]
 
 
 def test_build_rips_rejects_bad_input():
     d = unit_triangle().dist
     with pytest.raises(ValueError, match="cap"):
-        build_rips(d, cap=-1)
+        matrix_rips(d, cap=-1)
     with pytest.raises(ValueError, match="square"):
-        build_rips(np.zeros((2, 3)), cap=1)
+        matrix_rips(np.zeros((2, 3)), cap=1)
 
 
 def test_boundary_of_edge_and_triangle():
     # positions: 0-2 vertices, 3-5 edges (0,1), (0,2), (1,2), 6 the triangle;
     # face k drops vertex k and has sign (-1)^k, listed in that order
-    cplx = build_rips(unit_triangle().dist, cap=1)
+    cplx = matrix_rips(unit_triangle().dist, cap=1)
     for p in (2, 3):
         assert [list(col.items()) for col in boundary_matrix(cplx, p)] == [
             [], [], [],
@@ -105,7 +106,7 @@ def test_boundary_of_edge_and_triangle():
 def test_boundary_of_boundary_is_zero():
     for seed in range(8):
         space, labels, p = suite_instance(seed)
-        cplx = build_rips(space.dist, cap=space.diameter())
+        cplx = matrix_rips(space.dist, cap=space.diameter())
         cols = boundary_matrix(cplx, p)
         for pos, s in enumerate(cplx.simplices):
             if s.dim != 2:
