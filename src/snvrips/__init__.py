@@ -38,7 +38,7 @@ from .pipeline import (
     stability_report,
     verify_correspondence,
 )
-from .rips import Edges, FilteredComplex, build_rips, matrix_edges, restrict_to_step
+from .rips import Edges, FilteredComplex, build_rips
 
 __version__ = "0.1.0"
 
@@ -69,12 +69,10 @@ __all__ = [
     "deform",
     "deformed_snv",
     "emit_report",
-    "matrix_edges",
     "nonzero_sweep",
     "parse_matrix",
     "parse_sequences",
     "random_instance",
-    "restrict_to_step",
     "snv_counts_oracle",
     "stability_report",
     "time_offset_base",

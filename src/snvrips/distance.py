@@ -84,9 +84,11 @@ class DistanceSpace:
         diameter itself."""
         return self.diameter()
 
-    def unit_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs i < j at distance 1, in row-major order."""
-        return np.nonzero(np.triu(self.dist == 1, k=1))
+    def edges(self, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs i < j at distance <= h, in row-major order, with their
+        distances: the only source of edges for every complex built."""
+        i, j = np.nonzero(np.triu(self.dist <= h, k=1))
+        return i, j, self.dist[i, j]
 
 
 # Elements compared at once by the Hamming kernels, so memory stays bounded
@@ -155,9 +157,9 @@ class SequenceSpace(DistanceSpace):
 
     ``codes`` holds one row of character codes per point, in ``point_ids``
     order, and no two rows are equal.  The n x n matrix ``dist`` is built on
-    first read, in row blocks.  The default deformed route never reads it:
-    it takes the unit-distance pairs from ``unit_edges`` and the int64 bound
-    from the sequence length.
+    first read, in row blocks.  Routes that need only the unit-distance pairs
+    never read it: they take them from ``edges(1)`` and the int64 bound from
+    the sequence length.
     """
 
     def __init__(self, point_ids: Sequence[str], codes: np.ndarray) -> None:
@@ -181,13 +183,15 @@ class SequenceSpace(DistanceSpace):
         """The sequence length, which no Hamming distance exceeds."""
         return self.codes.shape[1]
 
-    def unit_edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs i < j at Hamming distance 1, in row-major order, with no
-        n x n array.
+    def edges(self, h: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The pairs i < j at Hamming distance <= h, in row-major order, with
+        their distances; at h = 1 with no n x n array.
 
         By pigeonhole, two rows at distance 1 agree exactly on one of their
         two halves.  So the rows are bucketed by each half, and only pairs in
-        a bucket are compared, on the other half."""
+        a bucket are compared, on the other half.  Any other h reads ``dist``."""
+        if h != 1:
+            return super().edges(h)
         n, length = self.codes.shape
         half = length // 2
         found_i, found_j = [], []
@@ -202,7 +206,7 @@ class SequenceSpace(DistanceSpace):
         i = np.concatenate(found_i, dtype=np.int64)
         j = np.concatenate(found_j, dtype=np.int64)
         order = np.argsort(i * n + j)
-        return i[order], j[order]
+        return i[order], j[order], np.ones(i.size, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -315,31 +319,14 @@ def check_horizon(space: DistanceSpace, m: int) -> int:
 
 def deform(space: DistanceSpace, labels: TimeLabels) -> np.ndarray:
     """The int64 matrix N*h(x,y) + max(D(x), D(y)), zero on the diagonal, in
-    ``space.point_ids`` order: time labels folded into the distances as exact
-    1/N offsets.  See ``check_horizon`` for the int64 bound."""
+    ``space.point_ids`` order (``check_horizon`` bounds it): the definition by
+    which ``deformed_snv`` re-values its edges, kept as the tests' reference."""
     base = check_horizon(space, labels.m)
     lab = labels.vector(space.point_ids)
     scaled = base * space.dist + np.maximum.outer(lab, lab)
     if scaled.size:
         np.fill_diagonal(scaled, 0)
     return scaled
-
-
-def deformed_unit_edges(
-    space: DistanceSpace, labels: TimeLabels
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pairs i < j whose deformed distance is at most 2N - 1, with that
-    distance, and no matrix.
-
-    N*h + max(D) <= 2N - 1 needs h = 1, because h >= 1 and every label is
-    below N.  So these are the unit-distance pairs, row-major, each at N plus
-    the larger label of its ends: the deformed complex up to 2N - 1 is a
-    lower-star filtration of the unit-distance graph.
-    """
-    base = check_horizon(space, labels.m)
-    i, j = space.unit_edges()
-    lab = labels.vector(space.point_ids)
-    return i, j, base + np.maximum(lab[i], lab[j])
 
 
 def dedupe_zero_distance(

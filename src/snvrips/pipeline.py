@@ -20,20 +20,18 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from itertools import accumulate, compress
 
 import numpy as np
 
-from .distance import (
-    DistanceSpace,
-    ScaleSchedule,
-    TimeLabels,
-    deform,
-    deformed_unit_edges,
-)
+from .distance import DistanceSpace, ScaleSchedule, TimeLabels, check_horizon
+
+# deform is no longer read here; it stays importable under this module
+# because perfbench/spans.py traces it by this name.
+from .distance import deform  # noqa: F401
 from .errors import InputError
 from .persistence import Chain, barcode_h1, nonzero_sweep
-from .rips import Edges, FilteredComplex, build_rips, matrix_edges, restrict_to_step
+from .rips import Edges, FilteredComplex, build_rips
 
 Representative = tuple[tuple[str, str, int], ...]
 
@@ -148,21 +146,32 @@ def _representative_ids(
 
 
 def _classical_step(
-    space: DistanceSpace, labels: TimeLabels, i: int, p: int, cap: int | None
+    point_ids: tuple[str, ...],
+    edges: tuple[np.ndarray, np.ndarray, np.ndarray],
+    keep: np.ndarray,
+    i: int,
+    p: int,
+    cap: int | None,
 ) -> tuple[int, list[SnvBar]]:
-    sub = restrict_to_step(space, labels, i)
-    step_cap = sub.diameter() if cap is None else cap
-    cplx = build_rips(matrix_edges(sub.dist, step_cap), step_cap)
-    barcode = barcode_h1(cplx, p)
+    """Step i's cap and SNV bars, over the subgraph of ``edges`` induced on
+    the points ``keep``.  The kept points are renumbered in order, so the
+    edge list stays row-major."""
+    ei, ej, ev = edges
+    inside = keep[ei] & keep[ej]
+    rank = np.cumsum(keep) - 1
+    ev = ev[inside]
+    step_cap = int(ev.max(initial=0)) if cap is None else cap
+    ids = tuple(compress(point_ids, keep))
+    cplx = build_rips(Edges(len(ids), rank[ei[inside]], rank[ej[inside]], ev), step_cap)
     bars = [
         SnvBar(
             birth_step=i,
             death_step=None,
             birth_value=bar.birth_value,
             death_value=bar.death_value,
-            representative=_representative_ids(cplx, sub.point_ids, bar.representative),
+            representative=_representative_ids(cplx, ids, bar.representative),
         )
-        for bar in barcode.bars
+        for bar in barcode_h1(cplx, p).bars
         if bar.birth_value == 1
     ]
     return step_cap, bars
@@ -178,19 +187,25 @@ def classical_snv(
 
     Steps between two consecutive labels share one point set, so each block
     is computed once and its bars repeated with each step as birth step.
-    ``cap`` defaults to each step's full diameter, which ``"full"`` also
-    means (the report's cap is then None); an explicit cap must be >= 1 or
-    the scale-1 births are unobservable.
+    Every block is built from one edge list, ``space.edges(cap)``, cut down
+    to the points present.  ``cap`` defaults to each step's full diameter,
+    which ``"full"`` also means (the report's cap is then None, and the edge
+    list holds every pair); an explicit cap must be >= 1 or the scale-1
+    births are unobservable.
     """
     if cap == "full":
         cap = None
     elif cap is not None and cap < 1:
         raise InputError(f"classical cap must be >= 1, got {cap}")
+    lab = labels.vector(space.point_ids)
+    edges = space.edges(space.diameter_bound() if cap is None else cap)
     caps_by_step: list[int] = []
     counts: list[int] = []
     bars: list[SnvBar] = []
     for start, end in labels.step_blocks(space.point_ids):
-        step_cap, step_bars = _classical_step(space, labels, start, p, cap)
+        step_cap, step_bars = _classical_step(
+            space.point_ids, edges, lab <= start, start, p, cap
+        )
         caps_by_step += [step_cap] * (end - start)
         counts += [len(step_bars)] * (end - start)
         bars += [replace(b, birth_step=i) for i in range(start, end) for b in step_bars]
@@ -224,29 +239,26 @@ def deformed_snv(
     [N, N+m] become SNV bars with birth_step = birth - N, and a death value
     beyond N+m means the class is alive through the horizon.
 
-    At the default cap the complex is the lower-star filtration of the
-    unit-distance graph (``deformed_unit_edges``), built with no n x n
-    matrix; an explicit cap deforms the whole matrix.
+    The deformation only re-values pairs, and N*h + max(D) <= cap needs
+    h <= cap // N.  So the complex is built from ``space.edges(cap // N)``
+    (every pair for ``"full"``) with no deformed matrix: at the default cap,
+    the lower-star filtration of the unit-distance graph.
     """
+    base = check_horizon(space, labels.m)
+    lab = labels.vector(space.point_ids)
     schedule = ScaleSchedule(labels.m)
     if cap is None:
-        cap_value = schedule.kappa(labels.m + 1) - 1
-        edges = Edges(space.n, *deformed_unit_edges(space, labels))
-    else:
-        scaled = deform(space, labels)
-        if cap == "full":
-            cap_value = int(scaled.max(initial=0))
-        else:
-            cap_value = int(cap)
-            if cap_value < schedule.kappa(labels.m):
-                raise InputError(
-                    f"deformed cap {cap_value} is below N+m = "
-                    f"{schedule.kappa(labels.m)}; "
-                    "it would cut off the first scale block [N, N+m]"
-                )
-        edges = matrix_edges(scaled, cap_value)
-
-    cplx = build_rips(edges, cap_value)
+        cap = schedule.kappa(labels.m + 1) - 1
+    elif cap != "full" and cap < schedule.kappa(labels.m):
+        raise InputError(
+            f"deformed cap {cap} is below N+m = {schedule.kappa(labels.m)}; "
+            "it would cut off the first scale block [N, N+m]"
+        )
+    i, j, h = space.edges(space.diameter_bound() if cap == "full" else cap // base)
+    value = base * h + np.maximum(lab[i], lab[j])
+    cap_value = int(value.max(initial=0)) if cap == "full" else int(cap)
+    kept = value <= cap_value
+    cplx = build_rips(Edges(space.n, i[kept], j[kept], value[kept]), cap_value)
     barcode = barcode_h1(cplx, p)
 
     bars, chains = [], []
@@ -315,7 +327,9 @@ def verify_correspondence(
         raise InputError("reports were computed over different inputs")
     if classical.space is None or deformed.space is None:
         raise InputError("reports are missing their input context")
-    if not np.array_equal(classical.space.dist, deformed.space.dist):
+    if classical.space is not deformed.space and not np.array_equal(
+        classical.space.dist, deformed.space.dist
+    ):
         raise InputError("reports were computed over different distance matrices")
     if classical.labels.by_id != deformed.labels.by_id:
         raise InputError("reports were computed over different time labels")

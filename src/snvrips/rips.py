@@ -2,9 +2,10 @@
 
 ``build_rips`` is the one builder.  It takes a graph's edges in row-major
 order (``Edges``: i < j, keys i*n + j ascending) with a value each, and
-returns the clique complex up to dimension 2.  Matrix callers get the edges
-of {d <= cap} from ``matrix_edges``; the default deformed route passes the
-unit-distance edges alone, so it needs no n x n matrix.  Triangles are the
+returns the clique complex up to dimension 2.  Every pipeline complex is
+built from ``DistanceSpace.edges(h)``, the pairs at distance <= h: the
+deformed run re-values them, and each classical step takes the subgraph on
+the points present, so a cap of 1 needs no n x n matrix.  Triangles are the
 closed wedges: each pair of higher neighbours (j, k) of a vertex i whose
 closing edge ``searchsorted`` finds among the edge keys, all at once in
 numpy, so no vertex triple outside the graph is ever examined.  A
@@ -29,8 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .distance import DistanceSpace, TimeLabels, later_pairs
-from .errors import InputError
+from .distance import later_pairs
 
 
 class Simplex(NamedTuple):
@@ -93,19 +93,6 @@ class Edges(NamedTuple):
     value: np.ndarray
 
 
-def matrix_edges(dist, cap: int) -> Edges:
-    """The pairs of a symmetric matrix with zero diagonal at or below cap."""
-    d = np.asarray(dist, dtype=np.int64)
-    if d.ndim != 2 or d.shape[0] != d.shape[1]:
-        raise ValueError(f"distance matrix must be square, got shape {d.shape}")
-    if d.size and (np.diagonal(d).any() or not np.array_equal(d, d.T)):
-        raise ValueError("distance matrix must be symmetric with zero diagonal")
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
-    i, j = np.nonzero(np.triu(d <= cap, k=1))
-    return Edges(d.shape[0], i, j, d[i, j])
-
-
 def _triangles(edges: Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every triangle (i, j, k) of the graph as the indices of its edges
     (i, j), (i, k) and (j, k).
@@ -161,17 +148,6 @@ def build_rips(edges: Edges, cap: int) -> FilteredComplex:
 
     vertices = np.column_stack((v0, v1, v2))[order]
     return FilteredComplex(value[order], vertices, cap, n, by_dim, faces)
-
-
-def restrict_to_step(space: DistanceSpace, labels: TimeLabels, i: int) -> DistanceSpace:
-    """Induced sub-distance-space on the points with label <= i."""
-    if not 0 <= i <= labels.m:
-        raise InputError(f"step {i} outside {{0, ..., {labels.m}}}")
-    lab = labels.vector(space.point_ids)
-    keep = [k for k in range(space.n) if lab[k] <= i]
-    ids = tuple(space.point_ids[k] for k in keep)
-    sub = space.dist[np.ix_(keep, keep)] if keep else np.zeros((0, 0), dtype=np.int64)
-    return DistanceSpace(ids, sub)
 
 
 def boundary_matrix(cplx: FilteredComplex, p: int) -> list[dict[int, int]]:

@@ -7,15 +7,17 @@ import numpy as np
 
 from snvrips import (
     DistanceSpace,
+    Edges,
     FilteredComplex,
     InputError,
     RandomInstanceSpec,
     TimeLabels,
+    barcode_h1,
     build_rips,
     random_instance,
 )
-from snvrips.rips import Simplex, matrix_edges
-from snvrips.pipeline import SnvReport
+from snvrips.rips import Simplex
+from snvrips.pipeline import SnvBar, SnvReport
 
 
 def hamming(a, b) -> int:
@@ -28,9 +30,65 @@ def hamming(a, b) -> int:
     return sum(x != y for x, y in zip(a, b))
 
 
+def matrix_edges(dist, cap: int) -> Edges:
+    """Reference edge list: the pairs of a symmetric matrix with zero diagonal
+    at or below cap, read off the dense matrix."""
+    d = np.asarray(dist, dtype=np.int64)
+    if d.ndim != 2 or d.shape[0] != d.shape[1]:
+        raise ValueError(f"distance matrix must be square, got shape {d.shape}")
+    if d.size and (np.diagonal(d).any() or not np.array_equal(d, d.T)):
+        raise ValueError("distance matrix must be symmetric with zero diagonal")
+    if cap < 0:
+        raise ValueError(f"cap must be non-negative, got {cap}")
+    i, j = np.nonzero(np.triu(d <= cap, k=1))
+    return Edges(d.shape[0], i, j, d[i, j])
+
+
 def matrix_rips(dist, cap: int) -> FilteredComplex:
     """``build_rips`` over the pairs of a matrix at or below cap."""
     return build_rips(matrix_edges(dist, cap), cap)
+
+
+def restrict_to_step(space: DistanceSpace, labels: TimeLabels, i: int) -> DistanceSpace:
+    """Reference step space: the induced sub-distance-space on the points with
+    label <= i, copied out of the dense matrix."""
+    if not 0 <= i <= labels.m:
+        raise InputError(f"step {i} outside {{0, ..., {labels.m}}}")
+    lab = labels.vector(space.point_ids)
+    keep = [k for k in range(space.n) if lab[k] <= i]
+    ids = tuple(space.point_ids[k] for k in keep)
+    sub = space.dist[np.ix_(keep, keep)] if keep else np.zeros((0, 0), dtype=np.int64)
+    return DistanceSpace(ids, sub)
+
+
+def classical_step(space: DistanceSpace, labels: TimeLabels, i: int, p: int, cap=None):
+    """Reference classical step i: its cap (the step's diameter when cap is
+    None) and its bars born at scale 1, from the dense step matrix."""
+    sub = restrict_to_step(space, labels, i)
+    step_cap = sub.diameter() if cap is None else cap
+    cplx = matrix_rips(sub.dist, step_cap)
+    bars = [
+        SnvBar(
+            i,
+            None,
+            bar.birth_value,
+            bar.death_value,
+            ids_of_chain(cplx, sub.point_ids, bar.representative),
+        )
+        for bar in barcode_h1(cplx, p).bars
+        if bar.birth_value == 1
+    ]
+    return step_cap, bars
+
+
+def ids_of_chain(cplx: FilteredComplex, point_ids, chain: dict[int, int]):
+    """A chain keyed by position as (id, id, coefficient) edges in position
+    order, the ends read from the simplex list."""
+    return tuple(
+        (point_ids[a], point_ids[b], chain[pos])
+        for pos in sorted(chain)
+        for a, b in [cplx.simplices[pos].vertices]
+    )
 
 
 def square_space() -> DistanceSpace:

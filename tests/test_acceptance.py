@@ -28,12 +28,12 @@ from snvrips import (
     verify_correspondence,
 )
 from snvrips.distance import ScaleSchedule
-from snvrips.rips import restrict_to_step
 
 from helpers import (
     chain_boundary,
     chain_of_ids,
     matrix_rips,
+    restrict_to_step,
     square_space,
     suite_instance,
 )

@@ -374,9 +374,17 @@ def test_default_deformed_on_sequences_never_builds_the_hamming_matrix(
     assert json.loads(capsys.readouterr().out)["per_step_counts"] == [0, 1]
     assert cli.main(["deformed", "--stability", *files]) == 0
     assert json.loads(capsys.readouterr().out)["stability"]["violations"] == []
-    # the classical side of compare still reads the dense matrix
-    with pytest.raises(AssertionError, match="dense Hamming matrix built"):
-        cli.main(["compare", *files])
+    # every route that reads only the unit-distance pairs: compare reads
+    # classical births at cap 1, and 2N - 1 = 19 for m = 1
+    for argv in (["compare"], ["compare", "--strict"], ["classical", "--cap", "1"]):
+        assert cli.main([*argv, *files]) == 0
+        assert capsys.readouterr().err == ""
+    assert cli.main(["deformed", "--cap", "19", *files]) == 0
+    assert json.loads(capsys.readouterr().out)["per_step_counts"] == [0, 1]
+    # the full diameter and the oracle still read the dense matrix
+    for argv in (["classical"], ["oracle"]):
+        with pytest.raises(AssertionError, match="dense Hamming matrix built"):
+            cli.main([*argv, *files])
 
 
 @pytest.mark.parametrize("command", ["classical", "deformed", "compare", "oracle", "bench"])

@@ -23,12 +23,12 @@ from snvrips import (
 from snvrips.pipeline import (
     CLASSICAL_NOTE,
     SnvBar,
-    _classical_step,
 )
 
 from helpers import (
     apex_square,
     chain_of_ids,
+    classical_step,
     corrupted_copy,
     square_labels,
     square_space,
@@ -219,6 +219,20 @@ def test_verify_correspondence_rejects_mismatched_inputs():
         verify_correspondence(cl, deformed_snv(space, other))
 
 
+def test_verify_correspondence_compares_distinct_spaces_by_their_matrices():
+    space, labels = apex_square()
+    df = deformed_snv(space, labels)
+    twin = DistanceSpace(space.point_ids, space.dist.copy())
+    assert verify_correspondence(classical_snv(twin, labels), df).ok
+    changed = space.dist.copy()
+    changed[0, 2] = changed[2, 0] = 3
+    other = DistanceSpace(space.point_ids, changed)
+    with pytest.raises(
+        InputError, match="^reports were computed over different distance matrices$"
+    ):
+        verify_correspondence(classical_snv(other, labels), df)
+
+
 def test_correspondence_on_suite():
     for seed in range(40):
         space, labels, p = suite_instance(seed)
@@ -287,7 +301,7 @@ def test_label_blocks_match_a_run_per_step():
         space, labels, p = suite_instance(seed)
         shifted = {pid: 2 * t + 2 for pid, t in labels.by_id.items()}
         wide = TimeLabels(2 * labels.m + 5, shifted)
-        steps = [_classical_step(space, wide, i, p, None) for i in range(wide.m + 1)]
+        steps = [classical_step(space, wide, i, p) for i in range(wide.m + 1)]
         report = classical_snv(space, wide, p)
         assert report.caps_by_step == [cap for cap, _ in steps]
         assert report.per_step_counts == [len(bars) for _, bars in steps]

@@ -5,9 +5,9 @@ dense ranks, per-step counts against a brute-force count, zero-distance
 merging in both parsers and against a brute-force merge, the matrix parser's
 first bad cell, the parsers on arbitrary text, a longer horizon against the
 shorter one, a zero-distance copy against the input without it, the two
-pipelines against the oracle over F_2 to F_7, and the sequences' pigeonhole
-unit edges and default-cap route against Hamming distances and the deformed
-matrix."""
+pipelines against the oracle over F_2 to F_7, the sequences' pigeonhole
+unit edges against Hamming distances, and the one edge list every complex is
+built from against dense per-step and deformed-matrix references."""
 
 import contextlib
 import io
@@ -28,6 +28,7 @@ from snvrips import (
     TimeLabels,
     barcode_h1,
     classical_snv,
+    deform,
     deformed_snv,
     nonzero_sweep,
     snv_counts_oracle,
@@ -36,6 +37,7 @@ from snvrips import (
 )
 from snvrips.distance import (
     INT64_MAX,
+    ScaleSchedule,
     build_space_from_sequences,
     dedupe_zero_distance,
     merge_distances,
@@ -51,7 +53,9 @@ from helpers import (
     all_triples_rips,
     brute_force_dedupe,
     chain_boundary,
+    classical_step,
     hamming,
+    ids_of_chain,
     matrix_rips,
     position,
     standard_reduction,
@@ -535,7 +539,7 @@ def sequence_sets(draw):
 
 def check_default_cap_is_the_dense_route(flags, texts, m, p):
     """``deformed`` (the lower-star route) prints the same bytes as
-    ``deformed --cap 2N-1`` (the deformed matrix)."""
+    ``deformed --cap 2N-1`` (an explicit cap)."""
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         argv = ["deformed", "--prime", str(p)]
@@ -563,9 +567,11 @@ def test_pigeonhole_unit_edges_and_the_lower_star_route(records, p):
     # a tiny block makes every chunked kernel take many chunks
     for block in (snvrips.distance._BLOCK, 8):
         with mock.patch.object(snvrips.distance, "_BLOCK", block):
-            for got, expected in zip(space.unit_edges(), want):
+            i, j, dist = space.edges(1)
+            for got, expected in zip((i, j), want):
                 assert got.dtype == np.int64
                 assert np.array_equal(got, expected)
+            assert np.array_equal(dist, np.ones(i.size, dtype=np.int64))
             assert np.array_equal(snvrips.distance.hamming_matrix(space.codes), h)
             assert space.diameter() == h.max()
     fasta = "".join(f">{rid}\n{seq}\n" for rid, seq, _ in records)
@@ -582,3 +588,63 @@ def test_matrix_default_cap_prints_the_dense_route_bytes(d, data):
     p = data.draw(st.sampled_from([2, 3]))
     texts = matrix_files(d, times)
     check_default_cap_is_the_dense_route(("--matrix", "--times"), texts, max(times), p)
+
+
+def deformed_reference(space, labels, p, cap):
+    """The cap, bars and chains of ``deformed_snv``, decoded off the clique
+    complex of the whole deformed matrix."""
+    scaled = deform(space, labels)
+    schedule = ScaleSchedule(labels.m)
+    cap = int(scaled.max(initial=0)) if cap == "full" else cap
+    cplx = matrix_rips(scaled, cap)
+    bars, chains = [], []
+    for bar in barcode_h1(cplx, p).bars:
+        birth = schedule.step_of(bar.birth_value)
+        if birth is None:
+            continue
+        death = None if bar.death_value is None else schedule.step_of(bar.death_value)
+        representative = ids_of_chain(cplx, space.point_ids, bar.representative)
+        bars.append(SnvBar(birth, death, bar.birth_value, bar.death_value, representative))
+        chains.append(bar.representative)
+    return cap, bars, chains
+
+
+@settings(max_examples=100, deadline=None)
+@given(sequence_sets(), st.sampled_from([2, 3]), st.data())
+def test_one_edge_list_builds_every_complex(records, p, data):
+    # the same records as sequences and as their Hamming matrix, where each
+    # repeated sequence is a zero-distance copy
+    fasta = "".join(f">{rid}\n{seq}\n" for rid, seq, _ in records)
+    meta = "id\ttime\n" + "".join(f"{rid}\t{t}\n" for rid, _, t in records)
+    full = np.array([[hamming(a, b) for _, b, _ in records] for _, a, _ in records])
+    times = [t for _, _, t in records]
+    sequence = {rid: seq for rid, seq, _ in records}
+    sequence.update((f"p{k}", seq) for k, (_, seq, _) in enumerate(records))
+    length = len(records[0][1])
+    for bundle in (parse_sequences(fasta, meta), parse_matrix(*matrix_files(full, times))):
+        space, labels = bundle.space, bundle.labels
+        kept = [sequence[pid] for pid in space.point_ids]
+        h = np.array([[hamming(a, b) for b in kept] for a in kept])
+        reference = DistanceSpace(space.point_ids, h)
+        for bound in (0, 1, 2, length):
+            i, j, dist = space.edges(bound)
+            want = np.nonzero(np.triu(h <= bound, 1))
+            assert np.array_equal(i, want[0]) and np.array_equal(j, want[1])
+            assert np.array_equal(dist, h[want])
+        for cap in (1, 2, "full"):
+            got = classical_snv(space, labels, p, cap)
+            step_cap = None if cap == "full" else cap
+            steps = [
+                classical_step(reference, labels, i, p, step_cap)
+                for i in range(labels.m + 1)
+            ]
+            assert got.caps_by_step == [c for c, _ in steps]
+            assert got.per_step_counts == [len(bars) for _, bars in steps]
+            assert got.bars == [bar for _, bars in steps for bar in bars]
+        base, m = time_offset_base(labels.m), labels.m
+        drawn = data.draw(st.integers(base + m, (length + 1) * base + m))
+        for cap in (base + m, 2 * base - 1, 2 * base, drawn, "full"):
+            got = deformed_snv(space, labels, p, cap)
+            assert (got.cap, got.bars, got.chains) == deformed_reference(
+                reference, labels, p, cap
+            )

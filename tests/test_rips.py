@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from snvrips import InputError, restrict_to_step
+from snvrips import DistanceSpace, InputError
 from snvrips.rips import Simplex
 from snvrips.rips import boundary_matrix
 
@@ -9,6 +9,7 @@ from helpers import (
     apex_square,
     matrix_rips,
     position,
+    restrict_to_step,
     square_labels,
     square_space,
     suite_instance,
@@ -87,6 +88,8 @@ def test_build_rips_rejects_bad_input():
         matrix_rips(d, cap=-1)
     with pytest.raises(ValueError, match="square"):
         matrix_rips(np.zeros((2, 3)), cap=1)
+    with pytest.raises(InputError, match="square"):
+        DistanceSpace(("a", "b"), np.zeros((2, 3)))
 
 
 def test_boundary_of_edge_and_triangle():
