@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -197,17 +198,23 @@ def parse_matrix(
         raise InputError(
             f"matrix has {len(rows)} rows but {n} time entries need {n - 1}"
         )
-    dist = np.zeros((n, n), dtype=np.int64)
-    for k, cells in enumerate(rows, start=1):
-        if len(cells) != k:
-            raise InputError(f"matrix line {k}: expected {k} entries, got {len(cells)}")
-        try:
-            values = [int(cell) for cell in cells]
-        except ValueError:
-            values = None
-        if values is None or min(values) < 0 or max(values) > INT64_MAX:
+    # every cell at once; the lines are walked only to name the first error
+    try:
+        if list(map(len, rows)) != list(range(1, n)):
+            raise ValueError
+        values = np.array(list(map(int, chain.from_iterable(rows))), dtype=np.int64)
+        if (values < 0).any():
+            raise ValueError
+    except (ValueError, OverflowError):
+        for k, cells in enumerate(rows, start=1):
+            if len(cells) != k:
+                raise InputError(
+                    f"matrix line {k}: expected {k} entries, got {len(cells)}"
+                ) from None
             _raise_bad_cell(k, cells)
-        dist[k, :k] = values
+        raise
+    dist = np.zeros((n, n), dtype=np.int64)
+    dist[np.tril_indices(n, -1)] = values
     dist += dist.T
 
     ids = tuple(f"p{i}" for i in range(n))

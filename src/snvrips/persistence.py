@@ -17,13 +17,17 @@ matrix is built, as in Ripser.  It runs three passes:
    2021); most columns pair with no addition.  A pivot pairs an edge with
    the triangle that kills its class, and a column that reduces to zero is an
    essential class.
-3. Homology gives the representatives.  Only the death triangles are
-   reduced, in filtration order: a column that reduces to zero never becomes
-   a pivot, so skipping the others leaves every reduced column as the full
-   left-to-right reduction makes it.  A reduced death column is a cycle whose
-   youngest edge is the birth edge.  The edges that pair with no triangle
-   are reduced with basis tracking (V in R = D*V), and an essential edge's V
-   column is its cycle.
+3. Homology gives the representatives.  A death triangle's column is
+   reduced only when a printed bar or another reduced column reads it:
+   zero-length pairs are never reduced.  Reducing a column left to right only
+   ever adds the reduced columns of the earlier triangles that own its
+   intermediate lows, and the cohomology pairs name each owner in advance
+   (the triangle that kills that edge), so a column is reduced on demand,
+   with an explicit stack of owners not yet reduced, and every reduced column
+   is the one the full left-to-right reduction makes.  A reduced death column
+   is a cycle whose youngest edge is the birth edge.  The edges that pair
+   with no triangle are reduced with basis tracking (V in R = D*V), and an
+   essential edge's V column is its cycle.
 
 Rows are face ranks, and the cohomology pass numbers its triangle rows
 backwards, so every pass takes a column's highest row as its pivot.  ``p``
@@ -173,12 +177,50 @@ def _kernel(p: int) -> _Kernel:
     return _F2 if p == 2 else _FP
 
 
+class _DeathColumns(dict):
+    """Death triangle -> its reduced boundary column, a cycle whose youngest
+    edge is the one the triangle kills.
+
+    A column is reduced on its first lookup, and so are the columns it reads:
+    the owner of each intermediate low is the triangle that kills that edge.
+    The owners not yet reduced wait on an explicit stack, since a column can
+    depend on a chain of thousands of others.  The dict holds exactly the
+    columns reduced so far."""
+
+    def __init__(
+        self, tri_faces: np.ndarray, pairs: dict[int, int], kernel: _Kernel, p: int
+    ):
+        super().__init__()
+        self._faces, self._pairs, self._kernel, self._p = tri_faces, pairs, kernel, p
+        self._killer = {e: t for t, e in pairs.items()}
+        self._signs = [1, p - 1, 1]
+        self._pivots: dict[int, tuple] = {}  # killed edge -> (reduced column, None)
+
+    def _boundary(self, t: int):
+        return self._kernel.column(self._faces[t].tolist(), self._signs)
+
+    def __missing__(self, t: int):
+        kernel = self._kernel
+        stack = [(t, self._boundary(t))]
+        while stack:
+            s, col = stack.pop()
+            col, _ = kernel.reduce(col, None, self._pivots.get, self._p)
+            low = kernel.low(col)
+            if low == self._pairs[s]:
+                self[s] = col
+                self._pivots[low] = (col, None)
+            else:  # an earlier triangle owns this low: reduce it first
+                u = self._killer[low]
+                stack += [(s, col), (u, self._boundary(u))]
+        return dict.__getitem__(self, t)
+
+
 @dataclass
 class _Reduction:
     """The engine's output in ranks, columns in the kernel's form."""
 
     pairs: dict[int, int]  # death triangle -> the edge whose class it kills
-    deaths: dict[int, Any]  # death triangle -> reduced column, a cycle
+    deaths: _DeathColumns  # death triangle -> reduced column, a cycle; on demand
     h0: dict[int, Any]  # H_0-death edge -> reduced column
     cycles: dict[int, Any]  # essential edge -> V column, a cycle
 
@@ -214,7 +256,8 @@ def _pair_by_cohomology(
     # descending, because a stable sort keeps each edge's triangles ascending;
     # slot k of the raveled faces is face k % 3 of triangle k // 3
     faces = tri_faces.ravel()
-    order = np.argsort(faces, kind="stable")
+    # a stable sort of keys of 16 bits or fewer is a radix sort
+    order = np.argsort(faces.astype(np.min_scalar_type(n_edges)), kind="stable")
     co_rows = n_tri - 1 - order // 3
     co_vals = np.array([1, p - 1, 1])[order % 3]
     del order
@@ -263,13 +306,13 @@ def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
     cleared = _h0_deaths(edge_faces, cplx.n_points)
     pairs, essential = _pair_by_cohomology(tri_faces, len(edge_faces), cleared, kernel, p)
 
-    pivots: dict[int, tuple] = {}
-    deaths = {}
-    order = sorted(pairs)
-    for t, rows in zip(order, tri_faces[order].tolist()):
-        col, _ = kernel.reduce(kernel.column(rows, signs), None, pivots.get, p)
-        pivots[kernel.low(col)] = (col, None)
-        deaths[t] = col
+    # reduce the death columns of the bars a report prints, and the ones they read
+    deaths = _DeathColumns(tri_faces, pairs, kernel, p)
+    tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
+    edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
+    edge_value, tri_value = (cplx.values[cplx.by_dim[d]] for d in (1, 2))
+    for t in np.sort(tri[edge_value[edge] < tri_value[tri]]).tolist():
+        deaths[t]  # the lookup reduces the column
 
     pivots = {}
     h0_columns, cycles = {}, {}
@@ -292,9 +335,10 @@ def reduce_with_basis(cplx: FilteredComplex, p: int) -> ReductionResult:
     which patches this name; no solve calls it.  It maps the engine's ranks
     to positions through ``cplx.by_dim``.  Every column reads as in the
     left-to-right algorithm, although the engine pairs by cohomology and
-    reduces only the death triangles and the edges that are not paired.  A
-    paired edge's cycle_basis entry is its triangle's reduced column: a cycle
-    whose youngest edge is that edge.
+    reduces only the death triangles and the edges that are not paired; the
+    death columns that ``_reduce`` left unreduced are reduced here, through
+    the same memo.  A paired edge's cycle_basis entry is its triangle's
+    reduced column: a cycle whose youngest edge is that edge.
     """
     core = _reduce(cplx, p)
     chain = _kernel(p).chain
@@ -302,8 +346,8 @@ def reduce_with_basis(cplx: FilteredComplex, p: int) -> ReductionResult:
     reduced: list[Chain] = [{} for _ in range(len(cplx))]
     for e, col in core.h0.items():
         reduced[edge_pos[e]] = chain(col, vertex_pos)
-    for t, col in core.deaths.items():
-        reduced[tri_pos[t]] = chain(col, edge_pos)
+    for t in core.pairs:
+        reduced[tri_pos[t]] = chain(core.deaths[t], edge_pos)
     pairing = {tri_pos[t]: edge_pos[e] for t, e in core.pairs.items()}
     cycle_basis = {edge_pos[e]: chain(v, edge_pos) for e, v in core.cycles.items()}
     for tri, edge in pairing.items():
@@ -314,8 +358,8 @@ def reduce_with_basis(cplx: FilteredComplex, p: int) -> ReductionResult:
 def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
     """H_1 barcode of a filtered complex, with a representative per bar.
 
-    Zero-length pairs (birth == death) are discarded before their
-    representatives are read.
+    Zero-length pairs (birth == death) are discarded, and their death
+    columns are never reduced unless a printed bar's column reads them.
     """
     core = _reduce(cplx, p)
     chain = _kernel(p).chain

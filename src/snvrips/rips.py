@@ -11,9 +11,9 @@ closing edge ``searchsorted`` finds among the edge keys, all at once in
 numpy, so no vertex triple outside the graph is ever examined.  A
 triangle's value and its face ranks come from its three edge indices.
 
-Simplices are ordered by (value, dimension, vertex tuple) with one lexsort;
-the order is total and face-respecting, so downstream matrix reduction is
-deterministic.  The complex is stored as arrays in that order: each
+Simplices are ordered by (value, dimension, vertex tuple) with one stable
+sort by value over arrays already in (dim, vertex) order; the order is total
+and face-respecting, so downstream matrix reduction is deterministic.  The complex is stored as arrays in that order: each
 simplex's value, and its vertices padded with -1 to three columns.  The
 builder also gives each edge and triangle its faces as ranks (a simplex's
 rank counts the simplices of its dimension before it).  These arrays are the
@@ -100,8 +100,10 @@ def _triangles(edges: Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Vertex i's edges to higher vertices are one run of the row-major list,
     so each wedge (i, j), (i, k) with j < k pairs an edge with a later edge
     of its run; ``searchsorted`` finds the closing edge (j, k) among the
-    edge keys, if the graph has it.  The wedge arrays are freed on return,
-    before the builder sorts."""
+    edge keys, if the graph has it.  ``later_pairs`` walks each run in
+    order, so the triangles come out lexicographically, which the builder's
+    sort relies on.  The wedge arrays are freed on return, before the
+    builder sorts."""
     n, ei, ej, _ = edges
     ij, ik = later_pairs(np.searchsorted(ei, ei, side="right") - np.arange(ei.size) - 1)
     keys = ei * n + ej
@@ -132,7 +134,9 @@ def build_rips(edges: Edges, cap: int) -> FilteredComplex:
     v0 = np.concatenate((np.arange(n, dtype=np.int64), ei, ti))
     v1 = np.concatenate((pad[:n], ej, tj))
     v2 = np.concatenate((pad, tk))
-    order = np.lexsort((v2, v1, v0, dim, value))
+    # the arrays are in (dim, v0, v1, v2) order: vertices by index, edges
+    # row-major, triangles as _triangles emits them, lexicographically
+    order = np.argsort(value, kind="stable")
 
     # Ranks: edges and triangles, each in filtration order, as indices into
     # the edge list and the triangle arrays.

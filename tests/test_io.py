@@ -143,6 +143,17 @@ def test_parse_matrix_names_the_first_bad_cell_in_line_order():
         parse_matrix("1\nx\n", times)
 
 
+def test_parse_matrix_names_a_bad_cell_before_a_later_wrong_count():
+    # every cell is converted at once; the first error in line order is named
+    times = "0\n" * 5
+    with pytest.raises(InputError, match="line 2: 'x' is not an integer"):
+        parse_matrix("1\n1 x\n1 1 1\n1 1\n", times)
+    with pytest.raises(InputError, match=f"line 2: distance {2**63} exceeds int64"):
+        parse_matrix(f"1\n1 {2**63}\n1 1 1\n1 1\n", times)
+    with pytest.raises(InputError, match="line 4: expected 4 entries, got 2"):
+        parse_matrix("1\n1 1\n1 1 1\n1 1\n", times)
+
+
 def test_parse_matrix_rejects_entries_beyond_int64():
     with pytest.raises(InputError, match="exceeds int64"):
         parse_matrix(f"{2**63}\n", "0\n1\n")

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,9 @@ from snvrips import (
     nonzero_sweep,
     time_offset_base,
 )
-from snvrips.persistence import Chain, reduce_with_basis
-from snvrips.rips import boundary_matrix
+from snvrips.oracle import RandomInstanceSpec, random_instance
+from snvrips.persistence import Chain, _reduce, reduce_with_basis
+from snvrips.rips import Edges, boundary_matrix, build_rips
 
 from helpers import (
     chain_boundary,
@@ -77,6 +80,33 @@ def test_square_capped_below_diameter():
 def test_two_points_empty_barcode():
     cplx = matrix_rips(np.array([[0, 1], [1, 0]]), cap=1)
     assert barcode_h1(cplx, 2).bars == []
+
+
+def test_fan_death_column_reads_a_chain_of_thousands_of_columns():
+    # the n-gon 0..n-1 at value 1, fanned from vertex 0 by chords at value 2:
+    # the one bar's death column adds every chord's column, one after another
+    n = 3000
+    assert n > sys.getrecursionlimit()
+    value = {(i, i + 1): 1 for i in range(n - 1)} | {(0, n - 1): 1}
+    value |= {(0, i): 2 for i in range(2, n - 1)}
+    i, j = np.array(sorted(value)).T
+    cplx = build_rips(Edges(n, i, j, np.array([value[e] for e in zip(i, j)])), 2)
+    assert len(cplx.by_dim[2]) == n - 2
+    (bar,) = barcode_h1(cplx, 2).bars
+    assert (bar.birth_value, bar.death_value) == (1, 2)
+    edges = {tuple(cplx.vertices[pos, :2].tolist()) for pos in bar.representative}
+    assert edges == {e for e, v in value.items() if v == 1}
+    assert set(bar.representative.values()) == {1}
+
+
+def test_zero_length_pairs_reduce_no_death_column():
+    # one classical block at cap 1: every edge and triangle enters at 1
+    space, _ = random_instance(RandomInstanceSpec(seed=0, n=30, m=0, d_max=2))
+    cplx = matrix_rips(space.dist, cap=1)
+    for p in (2, 3):
+        core = _reduce(cplx, p)
+        assert core.pairs and not core.deaths
+        assert all(bar.death_value is None for bar in barcode_h1(cplx, p).bars)
 
 
 def test_cycle_basis_chains_are_cycles_keyed_by_their_youngest_edge():

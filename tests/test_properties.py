@@ -11,6 +11,7 @@ built from against dense per-step and deformed-matrix references."""
 
 import contextlib
 import io
+import itertools
 import os
 import tempfile
 from unittest import mock
@@ -47,7 +48,7 @@ from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
 from snvrips.persistence import reduce_with_basis
 from snvrips.pipeline import SnvBar, alive_counts
-from snvrips.rips import boundary_matrix
+from snvrips.rips import Edges, boundary_matrix, build_rips
 
 from helpers import (
     all_triples_rips,
@@ -87,6 +88,42 @@ def test_clique_builder_matches_all_triples_reference(d, cap):
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
         assert built.simplices == reference.simplices
+
+
+@st.composite
+def tied_edge_lists(draw, max_n: int = 14):
+    """Row-major ``Edges`` on a dense random graph whose values take only a
+    few distinct levels, so most simplices tie on value."""
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    kept = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    pairs = [pair for pair, keep in zip(pairs, kept) if keep]
+    values = draw(st.lists(st.integers(1, 3), min_size=len(pairs), max_size=len(pairs)))
+    i, j = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return Edges(n, i, j, np.array(values, dtype=np.int64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tied_edge_lists())
+def test_builder_order_is_the_lexsort_by_value_dimension_and_vertices(edges):
+    n, ei, ej, ev = edges
+    value_of = dict(zip(zip(ei.tolist(), ej.tolist()), ev.tolist()))
+    triangles = [
+        (a, b, c, max(value_of[a, b], value_of[a, c], value_of[b, c]))
+        for a, b, c in itertools.combinations(range(n), 3)
+        if {(a, b), (a, c), (b, c)} <= value_of.keys()
+    ]
+    tri = np.array(triangles, dtype=np.int64).reshape(-1, 4)
+    value = np.concatenate((np.zeros(n, dtype=np.int64), ev, tri[:, 3]))
+    dim = np.repeat([0, 1, 2], [n, ei.size, len(tri)])
+    pad = np.full(n + ei.size, -1, dtype=np.int64)
+    v0 = np.concatenate((np.arange(n, dtype=np.int64), ei, tri[:, 0]))
+    v1 = np.concatenate((pad[:n], ej, tri[:, 1]))
+    v2 = np.concatenate((pad, tri[:, 2]))
+    order = np.lexsort((v2, v1, v0, dim, value))
+    cplx = build_rips(edges, 3)
+    assert np.array_equal(cplx.values, value[order])
+    assert np.array_equal(cplx.vertices, np.column_stack((v0, v1, v2))[order])
 
 
 @settings(max_examples=100, deadline=None)
