@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Sequence
 
-from .distance import INT64_MAX, check_horizon
+from .distance import check_horizon, check_prime
 from .errors import InputError
 from .io import InputBundle, emit_report, parse_matrix, parse_sequences
 from .oracle import OracleReport, RandomInstanceSpec, random_instance, snv_counts_oracle
@@ -53,14 +53,6 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):
         raise InputError(f"{self.prog}: {message}")
-
-
-def _check_prime(p: int) -> None:
-    # the oracle multiplies residues in int64; the bound also keeps trial division short
-    if p > 1 and (p - 1) ** 2 > INT64_MAX:
-        raise InputError(f"--prime must satisfy (p-1)^2 < 2^63, got {p}")
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
-        raise InputError(f"--prime must be a prime number, got {p}")
 
 
 def _read(path: str) -> str:
@@ -120,27 +112,23 @@ def resolve_input(
     return bundle
 
 
-def _attach_provenance(report, bundle: InputBundle) -> None:
+def _snv_report(args: argparse.Namespace, pipeline):
+    """``pipeline``'s report on the input at ``--cap``, with its merges and notes."""
+    bundle = resolve_input(args)
+    report = pipeline(bundle.space, bundle.labels, p=args.prime, cap=parse_cap(args.cap))
     report.merges = bundle.merges
     report.notes = bundle.notes + report.notes
+    return report
 
 
 def _cmd_classical(args: argparse.Namespace) -> int:
-    bundle = resolve_input(args)
-    report = classical_snv(
-        bundle.space, bundle.labels, p=args.prime, cap=parse_cap(args.cap)
-    )
-    _attach_provenance(report, bundle)
+    report = _snv_report(args, classical_snv)
     sys.stdout.write(emit_report(report, args.format))
     return 0
 
 
 def _cmd_deformed(args: argparse.Namespace) -> int:
-    bundle = resolve_input(args)
-    report = deformed_snv(
-        bundle.space, bundle.labels, p=args.prime, cap=parse_cap(args.cap)
-    )
-    _attach_provenance(report, bundle)
+    report = _snv_report(args, deformed_snv)
     stab = stability_report(report) if args.stability else None
     sys.stdout.write(emit_report(report, args.format, stability=stab))
     if stab is not None and not stab.ok:
@@ -283,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        _check_prime(args.prime)
+        check_prime(args.prime)
         return args.handler(args)
     except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,15 +12,25 @@ per-step correspondence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Mapping, Sequence
+from dataclasses import dataclass, field
+from functools import cache, cached_property
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import InputError
 
 INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+@cache
+def check_prime(p: int) -> None:
+    """Reject a p that is not a prime, or whose (p-1)^2 overflows the oracle's
+    int64 residue products.  Cached, since every barcode checks its p."""
+    if p > 1 and (int(p) - 1) ** 2 > INT64_MAX:  # int: a numpy p would wrap
+        raise InputError(f"the prime p must satisfy (p-1)^2 < 2^63, got {p}")
+    if p < 2 or p != int(p) or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        raise InputError(f"p must be a prime number, got {p}")
 
 
 def time_offset_base(m: int) -> int:
@@ -33,7 +43,7 @@ def time_offset_base(m: int) -> int:
     return base
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistanceSpace:
     """A finite set of named points with a natural-valued semimetric.
 
@@ -43,7 +53,7 @@ class DistanceSpace:
     """
 
     point_ids: tuple[str, ...]
-    dist: np.ndarray
+    dist: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         ids = tuple(self.point_ids)
@@ -366,24 +376,33 @@ def dedupe_zero_distance(
     return kept, slot, merges
 
 
+def joins(pairs: Iterable[tuple[int, int]], n: int) -> tuple[list[bool], list[int]]:
+    """Union-find over points 0..n-1, taking the pairs in order: whether each
+    pair joins two groups of the pairs before it, and each point's root, the
+    member that names its group."""
+    root = list(range(n))
+    joined = []
+    for u, w in pairs:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        while root[w] != w:
+            root[w] = root[root[w]]
+            w = root[w]
+        joined.append(u != w)
+        root[u] = w
+    for k in range(n):
+        while root[root[k]] != root[k]:
+            root[k] = root[root[k]]
+    return joined, root
+
+
 def group_zero_distance(dist: np.ndarray) -> np.ndarray:
     """Each point's group under chains of distance-0 pairs, named by one
-    member: a union-find over the zero entries of the upper triangle."""
+    member: ``joins`` over the zero entries of the upper triangle."""
     d = np.asarray(dist)
-    parent = list(range(len(d)))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
     zi, zj = np.nonzero(np.triu(d == 0, k=1))
-    for i, j in zip(zi.tolist(), zj.tolist()):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-    return np.array([find(i) for i in range(len(d))], dtype=np.int64)
+    return np.array(joins(zip(zi.tolist(), zj.tolist()), len(d))[1], dtype=np.int64)
 
 
 def merge_distances(dist: np.ndarray, slot: np.ndarray) -> np.ndarray:

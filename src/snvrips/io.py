@@ -79,12 +79,15 @@ def _merged_bundle(
     return InputBundle(space, labels, merges, notes)
 
 
+def _numbered_lines(text: str) -> list[tuple[int, str]]:
+    """The lines of ``text`` that are not blank, each with its line number."""
+    return [(k, ln) for k, ln in enumerate(text.splitlines(), start=1) if ln.strip()]
+
+
 def _parse_fasta(text: str) -> list[tuple[str, str]]:
     records: list[tuple[str, list[str]]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in _numbered_lines(text):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith(">"):
             rid = line[1:].split()[0] if line[1:].split() else ""
             if not rid:
@@ -106,11 +109,11 @@ def _parse_fasta(text: str) -> list[tuple[str, str]]:
 
 
 def _parse_metadata(text: str) -> dict[str, int]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
+    lines = _numbered_lines(text)
     if not lines:
         raise InputError("metadata table is empty")
-    delim = "\t" if "\t" in lines[0] else ","
-    header = [h.strip() for h in lines[0].split(delim)]
+    delim = "\t" if "\t" in lines[0][1] else ","
+    header = [h.strip() for h in lines[0][1].split(delim)]
     try:
         id_col, time_col = header.index("id"), header.index("time")
     except ValueError:
@@ -118,7 +121,7 @@ def _parse_metadata(text: str) -> dict[str, int]:
             f"metadata header must contain 'id' and 'time' columns, got {header}"
         ) from None
     times: dict[str, int] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         cells = [c.strip() for c in line.split(delim)]
         if len(cells) != len(header):
             raise InputError(
@@ -179,11 +182,12 @@ def parse_matrix(
     """Resolve a lower-triangular distance file plus a time vector.  A
     leading byte-order mark in either text is dropped."""
     matrix_text, times_text = matrix_text.removeprefix(BOM), times_text.removeprefix(BOM)
-    time_lines = [ln.strip() for ln in times_text.splitlines() if ln.strip()]
+    time_lines = _numbered_lines(times_text)
     if not time_lines:
         raise InputError("time vector is empty")
     times_list = []
-    for lineno, cell in enumerate(time_lines, start=1):
+    for lineno, line in time_lines:
+        cell = line.strip()
         try:
             t = int(cell)
         except ValueError:

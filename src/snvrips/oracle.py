@@ -11,7 +11,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .distance import INT64_MAX, DistanceSpace, TimeLabels
+from .distance import INT64_MAX, DistanceSpace, TimeLabels, check_prime
 from .errors import InputError
 
 
@@ -47,6 +47,7 @@ def rank_mod_p(mat: np.ndarray, p: int) -> int:
 
 def betti1_bruteforce(dist, v: int, p: int) -> int:
     """dim H_1 at scale v: (#edges - rank d1) - rank d2, all matrices dense."""
+    check_prime(p)
     d = np.asarray(dist, dtype=np.int64)
     n = d.shape[0]
     edges = [(i, j) for i, j in combinations(range(n), 2) if d[i, j] <= v]

@@ -8,23 +8,23 @@ and triangle lists its faces as ranks (a simplex's rank counts the simplices
 of its dimension before it), and face k has sign (-1)^k, so no boundary
 matrix is built, as in Ripser.  It runs three passes:
 
-1. A union-find over the edges, in filtration order, marks the H_0 deaths:
-   the edges that join two components.  No H_1 class is born at them, so
-   their coboundaries are cleared.
+1. The union-find ``distance.joins`` over the edges, in filtration order,
+   marks the H_0 deaths: the edges that join two components.  No H_1 class
+   is born at them, so their coboundaries are cleared.
 2. The other edge coboundaries are reduced in reverse filtration order, with
    triangle rows, so a column's pivot is its oldest triangle.  A pivot that
    no column owns yet is taken at once, an apparent pair (Bauer, *Ripser*,
    2021); most columns pair with no addition.  A pivot pairs an edge with
    the triangle that kills its class, and a column that reduces to zero is an
    essential class.
-3. Homology gives the representatives.  A death triangle's column is
-   reduced only when a printed bar or another reduced column reads it:
-   zero-length pairs are never reduced.  Reducing a column left to right only
-   ever adds the reduced columns of the earlier triangles that own its
-   intermediate lows, and the cohomology pairs name each owner in advance
-   (the triangle that kills that edge), so a column is reduced on demand,
-   with an explicit stack of owners not yet reduced, and every reduced column
-   is the one the full left-to-right reduction makes.  A reduced death column
+3. Homology gives the representatives.  ``_death_columns`` reduces a list
+   of death triangles, the ones of the printed bars, and every column they
+   read: zero-length pairs are never reduced.  Reducing a column left to
+   right only ever adds the reduced columns of the earlier triangles that own
+   its intermediate lows, and the cohomology pairs name each owner in advance
+   (the triangle that kills that edge), so each listed column is reduced with
+   an explicit stack of owners not yet reduced, and every reduced column is
+   the one the full left-to-right reduction makes.  A reduced death column
    is a cycle whose youngest edge is the birth edge.  The edges that pair
    with no triangle are reduced with basis tracking (V in R = D*V), and an
    essential edge's V column is its cycle.
@@ -50,6 +50,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
+from .distance import check_prime, joins
 from .errors import InputError
 
 # boundary_matrix is no longer read here; it stays importable under this
@@ -72,13 +73,6 @@ class Bar:
 @dataclass
 class Barcode:
     bars: list[Bar]
-
-    def count_alive(self, v: int) -> int:
-        """Bars with birth <= v < death; the open end counts as alive."""
-        return sum(
-            b.birth_value <= v and (b.death_value is None or v < b.death_value)
-            for b in self.bars
-        )
 
 
 @dataclass
@@ -156,63 +150,50 @@ def _fp_chain(col: Chain, positions: list[int]) -> Chain:
 
 
 class _Kernel(NamedTuple):
-    """The column operations of one field.  ``reduce`` adds ``owner_of(low)``
+    """The column operations of F_p.  ``reduce`` adds ``owner_of(low)``
     = (column, V) to the column until its highest row has no owner or it is
     zero, and returns (column, V); V is tracked when it is given."""
 
     column: Callable  # (rows, coefficients) -> column
-    unit: Callable  # rank -> the column with a single 1 at that rank
     low: Callable  # nonzero column -> its highest row
     reduce: Callable  # (column, V or None, owner_of, p) -> (column, V)
     chain: Callable  # (column, positions) -> Chain
+    p: int = 2
+    signs: tuple[int, ...] = (1, 1, 1)  # face k has sign (-1)^k; an edge takes two
 
 
-_F2 = _Kernel(
-    _f2_column, lambda r: 1 << r, lambda col: col.bit_length() - 1, _f2_reduce, _f2_chain
-)
-_FP = _Kernel(_fp_column, lambda r: {r: 1}, max, _fp_reduce, _fp_chain)
+_F2 = _Kernel(_f2_column, lambda col: col.bit_length() - 1, _f2_reduce, _f2_chain)
+_FP = _Kernel(_fp_column, max, _fp_reduce, _fp_chain)
 
 
 def _kernel(p: int) -> _Kernel:
-    return _F2 if p == 2 else _FP
+    return _F2 if p == 2 else _FP._replace(p=p, signs=(1, p - 1, 1))
 
 
-class _DeathColumns(dict):
-    """Death triangle -> its reduced boundary column, a cycle whose youngest
-    edge is the one the triangle kills.
-
-    A column is reduced on its first lookup, and so are the columns it reads:
-    the owner of each intermediate low is the triangle that kills that edge.
-    The owners not yet reduced wait on an explicit stack, since a column can
-    depend on a chain of thousands of others.  The dict holds exactly the
-    columns reduced so far."""
-
-    def __init__(
-        self, tri_faces: np.ndarray, pairs: dict[int, int], kernel: _Kernel, p: int
-    ):
-        super().__init__()
-        self._faces, self._pairs, self._kernel, self._p = tri_faces, pairs, kernel, p
-        self._killer = {e: t for t, e in pairs.items()}
-        self._signs = [1, p - 1, 1]
-        self._pivots: dict[int, tuple] = {}  # killed edge -> (reduced column, None)
-
-    def _boundary(self, t: int):
-        return self._kernel.column(self._faces[t].tolist(), self._signs)
-
-    def __missing__(self, t: int):
-        kernel = self._kernel
-        stack = [(t, self._boundary(t))]
+def _death_columns(
+    tri_faces: np.ndarray, pairs: dict[int, int], wanted: list[int], kernel: _Kernel
+) -> dict[int, Any]:
+    """Each wanted death triangle -> its reduced column, a cycle whose youngest
+    edge is the one the triangle kills.  The columns it reads are reduced first:
+    an intermediate low's owner is the triangle that kills that edge, and
+    owners not yet reduced wait on a stack, as chains can be thousands long."""
+    killer = {e: t for t, e in pairs.items()}
+    signs = kernel.signs
+    deaths: dict[int, Any] = {}
+    pivots: dict[int, tuple] = {}  # killed edge -> (reduced column, None)
+    for t in wanted:
+        stack = [] if t in deaths else [(t, kernel.column(tri_faces[t].tolist(), signs))]
         while stack:
             s, col = stack.pop()
-            col, _ = kernel.reduce(col, None, self._pivots.get, self._p)
+            col, _ = kernel.reduce(col, None, pivots.get, kernel.p)
             low = kernel.low(col)
-            if low == self._pairs[s]:
-                self[s] = col
-                self._pivots[low] = (col, None)
+            if low == pairs[s]:
+                deaths[s] = col
+                pivots[low] = (col, None)
             else:  # an earlier triangle owns this low: reduce it first
-                u = self._killer[low]
-                stack += [(s, col), (u, self._boundary(u))]
-        return dict.__getitem__(self, t)
+                u = killer[low]
+                stack += [(s, col), (u, kernel.column(tri_faces[u].tolist(), signs))]
+    return {t: deaths[t] for t in wanted}
 
 
 @dataclass
@@ -220,30 +201,13 @@ class _Reduction:
     """The engine's output in ranks, columns in the kernel's form."""
 
     pairs: dict[int, int]  # death triangle -> the edge whose class it kills
-    deaths: _DeathColumns  # death triangle -> reduced column, a cycle; on demand
+    deaths: dict[int, Any]  # positive-length death triangle -> reduced column
     h0: dict[int, Any]  # H_0-death edge -> reduced column
     cycles: dict[int, Any]  # essential edge -> V column, a cycle
 
 
-def _h0_deaths(edge_faces: np.ndarray, n_vertices: int) -> list[bool]:
-    """Whether each edge joins two components of the edges before it, by
-    union-find: its boundary is then independent of theirs."""
-    root = list(range(n_vertices))
-    deaths = []
-    for u, w in edge_faces.tolist():
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        while root[w] != w:
-            root[w] = root[root[w]]
-            w = root[w]
-        deaths.append(u != w)
-        root[u] = w
-    return deaths
-
-
 def _pair_by_cohomology(
-    tri_faces: np.ndarray, n_edges: int, cleared: list[bool], kernel: _Kernel, p: int
+    tri_faces: np.ndarray, n_edges: int, cleared: list[bool], kernel: _Kernel
 ) -> tuple[dict[int, int], list[int]]:
     """Reduce the uncleared edge coboundaries, youngest edge first.
 
@@ -259,7 +223,7 @@ def _pair_by_cohomology(
     # a stable sort of keys of 16 bits or fewer is a radix sort
     order = np.argsort(faces.astype(np.min_scalar_type(n_edges)), kind="stable")
     co_rows = n_tri - 1 - order // 3
-    co_vals = np.array([1, p - 1, 1])[order % 3]
+    co_vals = np.array(kernel.signs)[order % 3]
     del order
     sizes = np.bincount(faces, minlength=n_edges)
     co_ptr = np.concatenate(([0], np.cumsum(sizes)))
@@ -289,7 +253,7 @@ def _pair_by_cohomology(
         elif row not in owner:
             owner[row] = e  # apparent: the pivot is free before any addition
         else:
-            col, _ = kernel.reduce(coboundary(e), None, owner_of, p)
+            col, _ = kernel.reduce(coboundary(e), None, owner_of, kernel.p)
             if col:
                 owner[kernel.low(col)] = e
                 reduced[e] = col
@@ -302,24 +266,23 @@ def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
     """Pairs by cohomology, representatives by homology; see the module notes."""
     kernel = _kernel(p)
     edge_faces, tri_faces = cplx.faces
-    signs = [1, p - 1, 1]  # face k has sign (-1)^k; an edge takes the first two
-    cleared = _h0_deaths(edge_faces, cplx.n_points)
-    pairs, essential = _pair_by_cohomology(tri_faces, len(edge_faces), cleared, kernel, p)
+    cleared = joins(edge_faces.tolist(), cplx.n_points)[0]
+    pairs, essential = _pair_by_cohomology(tri_faces, len(edge_faces), cleared, kernel)
 
     # reduce the death columns of the bars a report prints, and the ones they read
-    deaths = _DeathColumns(tri_faces, pairs, kernel, p)
     tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
     edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
     edge_value, tri_value = (cplx.values[cplx.by_dim[d]] for d in (1, 2))
-    for t in np.sort(tri[edge_value[edge] < tri_value[tri]]).tolist():
-        deaths[t]  # the lookup reduces the column
+    printed = np.sort(tri[edge_value[edge] < tri_value[tri]]).tolist()
+    deaths = _death_columns(tri_faces, pairs, printed, kernel)
 
     pivots = {}
     h0_columns, cycles = {}, {}
     order = sorted(essential + [e for e, dead in enumerate(cleared) if dead])
     is_essential = set(essential)
     for e, rows in zip(order, edge_faces[order].tolist()):
-        col, v = kernel.reduce(kernel.column(rows, signs), kernel.unit(e), pivots.get, p)
+        unit = kernel.column([e], [1])
+        col, v = kernel.reduce(kernel.column(rows, kernel.signs), unit, pivots.get, p)
         if e in is_essential:
             cycles[e] = v
         else:
@@ -335,19 +298,20 @@ def reduce_with_basis(cplx: FilteredComplex, p: int) -> ReductionResult:
     which patches this name; no solve calls it.  It maps the engine's ranks
     to positions through ``cplx.by_dim``.  Every column reads as in the
     left-to-right algorithm, although the engine pairs by cohomology and
-    reduces only the death triangles and the edges that are not paired; the
-    death columns that ``_reduce`` left unreduced are reduced here, through
-    the same memo.  A paired edge's cycle_basis entry is its triangle's
-    reduced column: a cycle whose youngest edge is that edge.
+    reduces only the death triangles and the edges that are not paired; here
+    ``_death_columns`` reduces the column of every death triangle.  A paired
+    edge's cycle_basis entry is its triangle's reduced column: a cycle whose
+    youngest edge is that edge.
     """
     core = _reduce(cplx, p)
+    deaths = _death_columns(cplx.faces[1], core.pairs, sorted(core.pairs), _kernel(p))
     chain = _kernel(p).chain
     vertex_pos, edge_pos, tri_pos = (a.tolist() for a in cplx.by_dim)
     reduced: list[Chain] = [{} for _ in range(len(cplx))]
     for e, col in core.h0.items():
         reduced[edge_pos[e]] = chain(col, vertex_pos)
-    for t in core.pairs:
-        reduced[tri_pos[t]] = chain(core.deaths[t], edge_pos)
+    for t, col in deaths.items():
+        reduced[tri_pos[t]] = chain(col, edge_pos)
     pairing = {tri_pos[t]: edge_pos[e] for t, e in core.pairs.items()}
     cycle_basis = {edge_pos[e]: chain(v, edge_pos) for e, v in core.cycles.items()}
     for tri, edge in pairing.items():
@@ -361,17 +325,17 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
     Zero-length pairs (birth == death) are discarded, and their death
     columns are never reduced unless a printed bar's column reads them.
     """
+    check_prime(p)
     core = _reduce(cplx, p)
     chain = _kernel(p).chain
     edge_pos = cplx.by_dim[1].tolist()
     edge_value = cplx.values[cplx.by_dim[1]].tolist()
     tri_value = cplx.values[cplx.by_dim[2]].tolist()
 
-    bars = []
-    for tri, edge in core.pairs.items():
-        birth, death = edge_value[edge], tri_value[tri]
-        if birth < death:
-            bars.append(Bar(birth, death, chain(core.deaths[tri], edge_pos)))
+    bars = [
+        Bar(edge_value[core.pairs[tri]], tri_value[tri], chain(col, edge_pos))
+        for tri, col in core.deaths.items()
+    ]
     for edge, cycle in core.cycles.items():
         bars.append(Bar(edge_value[edge], None, chain(cycle, edge_pos)))
 
@@ -403,6 +367,7 @@ def nonzero_sweep(
     each residue is carried from one threshold to the next, since a residue
     reduced against a smaller span stays valid as the span grows.
     """
+    check_prime(p)
     if any(a > b for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be ascending")
     if not chains:

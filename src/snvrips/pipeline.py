@@ -30,7 +30,7 @@ from .distance import DistanceSpace, ScaleSchedule, TimeLabels, check_horizon
 # because perfbench/spans.py traces it by this name.
 from .distance import deform  # noqa: F401
 from .errors import InputError
-from .persistence import Chain, barcode_h1, nonzero_sweep
+from .persistence import Bar, Chain, barcode_h1, nonzero_sweep
 from .rips import Edges, FilteredComplex, build_rips
 
 Representative = tuple[tuple[str, str, int], ...]
@@ -135,14 +135,21 @@ class BenchmarkResult:
     correspondence_clean: bool
 
 
-def _representative_ids(
-    cplx: FilteredComplex, point_ids: tuple[str, ...], chain: Chain
-) -> Representative:
+def _snv_bar(
+    cplx: FilteredComplex,
+    point_ids: tuple[str, ...],
+    bar: Bar,
+    birth_step: int,
+    death_step: int | None,
+) -> SnvBar:
+    """An SNV bar from a barcode bar, its chain's edges named by point id."""
+    chain = bar.representative
     positions = sorted(chain)
     ends = cplx.vertices[positions, :2].tolist()
-    return tuple(
+    named = tuple(
         (point_ids[a], point_ids[b], chain[pos]) for pos, (a, b) in zip(positions, ends)
     )
+    return SnvBar(birth_step, death_step, bar.birth_value, bar.death_value, named)
 
 
 def _classical_step(
@@ -164,13 +171,7 @@ def _classical_step(
     ids = tuple(compress(point_ids, keep))
     cplx = build_rips(Edges(len(ids), rank[ei[inside]], rank[ej[inside]], ev), step_cap)
     bars = [
-        SnvBar(
-            birth_step=i,
-            death_step=None,
-            birth_value=bar.birth_value,
-            death_value=bar.death_value,
-            representative=_representative_ids(cplx, ids, bar.representative),
-        )
+        _snv_bar(cplx, ids, bar, i, None)
         for bar in barcode_h1(cplx, p).bars
         if bar.birth_value == 1
     ]
@@ -268,17 +269,8 @@ def deformed_snv(
             continue
         chains.append(bar.representative)
         death = bar.death_value  # at or after the birth, so at or above N
-        bars.append(
-            SnvBar(
-                birth_step=birth_step,
-                death_step=None if death is None else schedule.step_of(death),
-                birth_value=bar.birth_value,
-                death_value=death,
-                representative=_representative_ids(
-                    cplx, space.point_ids, bar.representative
-                ),
-            )
-        )
+        death_step = None if death is None else schedule.step_of(death)
+        bars.append(_snv_bar(cplx, space.point_ids, bar, birth_step, death_step))
 
     return SnvReport(
         mode="deformed",

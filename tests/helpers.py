@@ -6,6 +6,7 @@ from itertools import combinations
 import numpy as np
 
 from snvrips import (
+    Barcode,
     DistanceSpace,
     Edges,
     FilteredComplex,
@@ -18,6 +19,14 @@ from snvrips import (
 )
 from snvrips.rips import Simplex
 from snvrips.pipeline import SnvBar, SnvReport
+
+
+def count_alive(barcode: Barcode, v: int) -> int:
+    """Bars with birth <= v < death; the open end counts as alive."""
+    return sum(
+        b.birth_value <= v and (b.death_value is None or v < b.death_value)
+        for b in barcode.bars
+    )
 
 
 def hamming(a, b) -> int:

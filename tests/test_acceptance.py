@@ -32,6 +32,7 @@ from snvrips.distance import ScaleSchedule
 from helpers import (
     chain_boundary,
     chain_of_ids,
+    count_alive,
     matrix_rips,
     restrict_to_step,
     square_space,
@@ -105,7 +106,7 @@ def test_4_engine_matches_oracle_at_every_value():
         cap = 2 * time_offset_base(labels.m) - 1
         barcode = barcode_h1(matrix_rips(scaled, cap), p)
         for v in range(cap + 1):
-            assert barcode.count_alive(v) == betti1_bruteforce(scaled, v, p), (
+            assert count_alive(barcode, v) == betti1_bruteforce(scaled, v, p), (
                 f"seed {seed}, value {v}"
             )
 

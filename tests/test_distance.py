@@ -158,6 +158,16 @@ def test_distance_space_validation():
         DistanceSpace(("a", "b"), np.zeros((3, 3), dtype=int))
 
 
+def test_spaces_compare_by_identity_and_repr_without_the_matrix():
+    a, b = square_space(), square_space()
+    assert a != b and a == a
+    assert len({a, b}) == 2
+    assert "dist" not in repr(a)
+    space, _ = build_space_from_sequences([("s1", "ACGT"), ("s2", "ACGA")])
+    assert "s2" in repr(space) and hash(space) == hash(space)
+    assert "dist" not in space.__dict__  # the repr built no Hamming matrix
+
+
 def test_deform_rejects_int64_overflow():
     h = 999999999999999999
     space = DistanceSpace(("a", "b"), np.array([[0, h], [h, 0]]))

@@ -88,6 +88,16 @@ def test_parse_sequences_errors():
         parse_sequences("", META)
 
 
+def test_parse_errors_name_the_line_of_the_file():
+    # blank lines are skipped, but still counted
+    with pytest.raises(InputError, match="metadata line 5: time 'z'"):
+        parse_sequences(FASTA, "id\ttime\n\n\ns1\t0\ns2\tz\ns3\t1\n")
+    with pytest.raises(InputError, match="metadata line 4: expected 2 columns"):
+        parse_sequences(FASTA, "id\ttime\n\ns1\t0\ns2\n")
+    with pytest.raises(InputError, match="times line 4: 'z'"):
+        parse_matrix("1\n", "0\n\n\nz\n")
+
+
 def test_parse_matrix_unit_triangle():
     bundle = parse_matrix("1\n1 1\n", "0\n0\n0\n")
     assert bundle.space.point_ids == ("p0", "p1", "p2")

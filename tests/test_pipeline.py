@@ -9,10 +9,12 @@ from snvrips import (
     TimeLabels,
     barcode_h1,
     benchmark,
+    betti1_bruteforce,
     build_rips,
     classical_snv,
     deform,
     deformed_snv,
+    nonzero_sweep,
     parse_matrix,
     random_instance,
     snv_counts_oracle,
@@ -30,6 +32,7 @@ from helpers import (
     chain_of_ids,
     classical_step,
     corrupted_copy,
+    matrix_rips,
     square_labels,
     square_space,
     suite_instance,
@@ -65,6 +68,21 @@ def test_classical_triangle_has_no_cycles():
 def test_classical_rejects_unobservable_cap():
     with pytest.raises(InputError, match="cap"):
         classical_snv(square_space(), square_labels(), cap=0)
+
+
+def test_every_entry_point_taking_p_rejects_a_field_that_is_not_prime():
+    space, labels = random_instance(RandomInstanceSpec(3, 12, 3, 2))
+    cplx = matrix_rips(space.dist, 1)
+    for p in (4, 1, 2.5, np.int64(4294967311)):
+        for run in (
+            lambda: deformed_snv(space, labels, p),
+            lambda: classical_snv(space, labels, p),
+            lambda: nonzero_sweep(cplx, [], [], p, []),
+            lambda: snv_counts_oracle(space, labels, p),
+            lambda: betti1_bruteforce(space.dist, 1, p),
+        ):
+            with pytest.raises(InputError, match="prime"):
+                run()
 
 
 def test_apex_square_both_pipelines():
