@@ -370,6 +370,8 @@ def nonzero_sweep(
     check_prime(p)
     if any(a > b for a, b in zip(thresholds, thresholds[1:])):
         raise ValueError("thresholds must be ascending")
+    if len(starts) != len(chains):
+        raise ValueError(f"{len(chains)} chains but {len(starts)} starts")
     if not chains:
         return []
     edge_pos = cplx.by_dim[1]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import statistics
 import time
 from dataclasses import dataclass, field, replace
-from itertools import accumulate, compress
+from itertools import accumulate
 
 import numpy as np
 
@@ -152,32 +152,6 @@ def _snv_bar(
     return SnvBar(birth_step, death_step, bar.birth_value, bar.death_value, named)
 
 
-def _classical_step(
-    point_ids: tuple[str, ...],
-    edges: tuple[np.ndarray, np.ndarray, np.ndarray],
-    keep: np.ndarray,
-    i: int,
-    p: int,
-    cap: int | None,
-) -> tuple[int, list[SnvBar]]:
-    """Step i's cap and SNV bars, over the subgraph of ``edges`` induced on
-    the points ``keep``.  The kept points are renumbered in order, so the
-    edge list stays row-major."""
-    ei, ej, ev = edges
-    inside = keep[ei] & keep[ej]
-    rank = np.cumsum(keep) - 1
-    ev = ev[inside]
-    step_cap = int(ev.max(initial=0)) if cap is None else cap
-    ids = tuple(compress(point_ids, keep))
-    cplx = build_rips(Edges(len(ids), rank[ei[inside]], rank[ej[inside]], ev), step_cap)
-    bars = [
-        _snv_bar(cplx, ids, bar, i, None)
-        for bar in barcode_h1(cplx, p).bars
-        if bar.birth_value == 1
-    ]
-    return step_cap, bars
-
-
 def classical_snv(
     space: DistanceSpace,
     labels: TimeLabels,
@@ -188,28 +162,35 @@ def classical_snv(
 
     Steps between two consecutive labels share one point set, so each block
     is computed once and its bars repeated with each step as birth step.
-    Every block is built from one edge list, ``space.edges(cap)``, cut down
-    to the points present.  ``cap`` defaults to each step's full diameter,
-    which ``"full"`` also means (the report's cap is then None, and the edge
-    list holds every pair); an explicit cap must be >= 1 or the scale-1
-    births are unobservable.
+    Every block is built on all n points from the edges of one list,
+    ``space.edges(cap)``, whose ends are both present; an absent point is
+    an isolated vertex, with no H_1.  ``cap`` defaults to each step's full
+    diameter, which ``"full"`` also means (the report's cap is then None,
+    and the edge list holds every pair); an explicit cap must be >= 1 or
+    the scale-1 births are unobservable.
     """
     if cap == "full":
         cap = None
     elif cap is not None and cap < 1:
         raise InputError(f"classical cap must be >= 1, got {cap}")
     lab = labels.vector(space.point_ids)
-    edges = space.edges(space.diameter_bound() if cap is None else cap)
+    i, j, h = space.edges(space.diameter_bound() if cap is None else cap)
+    late = np.maximum(lab[i], lab[j])  # the first step that has the edge
     caps_by_step: list[int] = []
     counts: list[int] = []
     bars: list[SnvBar] = []
     for start, end in labels.step_blocks(space.point_ids):
-        step_cap, step_bars = _classical_step(
-            space.point_ids, edges, lab <= start, start, p, cap
-        )
+        inside = late <= start
+        step_cap = int(h[inside].max(initial=0)) if cap is None else cap
+        cplx = build_rips(Edges(space.n, i[inside], j[inside], h[inside]), step_cap)
+        step_bars = [
+            _snv_bar(cplx, space.point_ids, bar, start, None)
+            for bar in barcode_h1(cplx, p).bars
+            if bar.birth_value == 1
+        ]
         caps_by_step += [step_cap] * (end - start)
         counts += [len(step_bars)] * (end - start)
-        bars += [replace(b, birth_step=i) for i in range(start, end) for b in step_bars]
+        bars += [replace(b, birth_step=k) for k in range(start, end) for b in step_bars]
     return SnvReport(
         mode="classical",
         m=labels.m,

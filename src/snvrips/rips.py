@@ -4,8 +4,8 @@
 order (``Edges``: i < j, keys i*n + j ascending) with a value each, and
 returns the clique complex up to dimension 2.  Every pipeline complex is
 built from ``DistanceSpace.edges(h)``, the pairs at distance <= h: the
-deformed run re-values them, and each classical step takes the subgraph on
-the points present, so a cap of 1 needs no n x n matrix.  Triangles are the
+deformed run re-values them, and each classical step keeps those whose ends
+are both present, so a cap of 1 needs no n x n matrix.  Triangles are the
 closed wedges: each pair of higher neighbours (j, k) of a vertex i whose
 closing edge ``searchsorted`` finds among the edge keys, all at once in
 numpy, so no vertex triple outside the graph is ever examined.  A
@@ -93,7 +93,7 @@ class Edges(NamedTuple):
     value: np.ndarray
 
 
-def _triangles(edges: Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _triangles(edges: Edges, keys: np.ndarray) -> tuple[np.ndarray, ...]:
     """Every triangle (i, j, k) of the graph as the indices of its edges
     (i, j), (i, k) and (j, k).
 
@@ -106,7 +106,6 @@ def _triangles(edges: Edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     builder sorts."""
     n, ei, ej, _ = edges
     ij, ik = later_pairs(np.searchsorted(ei, ei, side="right") - np.arange(ei.size) - 1)
-    keys = ei * n + ej
     want = ej[ij] * n
     want += ej[ik]
     jk = np.searchsorted(keys, want)
@@ -119,12 +118,19 @@ def build_rips(edges: Edges, cap: int) -> FilteredComplex:
     """The clique complex of ``edges`` in dimension <= 2, filtered by value.
 
     Vertices enter at value 0, an edge at its value, a triangle at the max
-    of its three edge values.  Every edge value must be at most ``cap``.
+    of its three edge values.  The edges must be row-major (``Edges``) with
+    values in [0, cap]; any other list raises ValueError.
     """
     if cap < 0:
         raise ValueError(f"cap must be non-negative, got {cap}")
     n, ei, ej, ev = edges
-    ij, ik, jk = _triangles(edges)
+    keys = ei * n + ej
+    if ei.size and not (
+        0 <= ei.min() and (ei < ej).all() and ej.max() < n
+        and (keys[1:] > keys[:-1]).all() and 0 <= ev.min() <= ev.max() <= cap
+    ):
+        raise ValueError(f"edges must be row-major, i < j < n, values in [0, {cap}]")
+    ij, ik, jk = _triangles(edges, keys)
     ti, tj, tk = ei[ij], ej[ij], ej[ik]
     tv = np.maximum(np.maximum(ev[ij], ev[ik]), ev[jk])
 

@@ -199,6 +199,15 @@ def test_class_check_rejects_absent_edges():
         nonzero_sweep(cplx, [], [2, 1], 2, [])
 
 
+def test_nonzero_sweep_needs_one_start_per_chain():
+    cplx = matrix_rips(square_space().dist, cap=2)
+    rep = barcode_h1(cplx, 2).bars[0].representative
+    with pytest.raises(ValueError, match="2 chains but 1 starts"):
+        nonzero_sweep(cplx, [rep, rep], [1], 2, [0])
+    with pytest.raises(ValueError, match="0 chains but 1 starts"):
+        nonzero_sweep(cplx, [], [1], 2, [0])
+
+
 def test_mod_3_coefficients():
     cplx = matrix_rips(unit_triangle().dist, cap=1)
     result = reduce_with_basis(cplx, 3)

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from snvrips import DistanceSpace, InputError
-from snvrips.rips import Simplex
-from snvrips.rips import boundary_matrix
+from snvrips.rips import Edges, Simplex, boundary_matrix, build_rips
 
 from helpers import (
     apex_square,
@@ -90,6 +89,31 @@ def test_build_rips_rejects_bad_input():
         matrix_rips(np.zeros((2, 3)), cap=1)
     with pytest.raises(InputError, match="square"):
         DistanceSpace(("a", "b"), np.zeros((2, 3)))
+
+
+def edge_list(n, i, j, value):
+    return Edges(n, *(np.array(a, dtype=np.int64) for a in (i, j, value)))
+
+
+def test_build_rips_rejects_edges_it_would_build_wrongly():
+    # the triangle graph in row-major order has its triangle
+    triangle = build_rips(edge_list(3, [0, 0, 1], [1, 2, 2], [1, 1, 1]), 1)
+    assert len(triangle.by_dim[2]) == 1
+    # the empty graph is row-major: n isolated vertices
+    assert len(build_rips(edge_list(3, [], [], []), 0)) == 3
+    bad = [
+        (3, [1, 0, 0], [2, 1, 2], [1, 1, 1]),  # out of row-major order
+        (3, [0, 0, 2], [1, 2, 1], [1, 1, 1]),  # i > j, keys still ascending
+        (3, [0, 0, 1], [1, 1, 2], [1, 1, 1]),  # a repeated edge
+        (3, [0, 1], [1, 1], [1, 1]),  # a loop
+        (3, [-1, 0], [1, 1], [1, 1]),  # a vertex below 0
+        (3, [0, 1], [1, 3], [1, 1]),  # a vertex beyond n - 1
+        (4, [0, 0, 1, 2], [1, 3, 2, 3], [1, 1, 1, 5]),  # a value above the cap
+        (3, [0], [1], [-1]),  # a negative value
+    ]
+    for args in bad:
+        with pytest.raises(ValueError, match="row-major"):
+            build_rips(edge_list(*args), 2)
 
 
 def test_boundary_of_edge_and_triangle():
