@@ -13,7 +13,7 @@ per-step correspondence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -23,13 +23,15 @@ from .errors import InputError
 INT64_MAX = int(np.iinfo(np.int64).max)
 
 
-@cache
+@lru_cache(maxsize=None, typed=True)
 def check_prime(p: int) -> None:
-    """Reject a p that is not a prime, or whose (p-1)^2 overflows the oracle's
-    int64 residue products.  Cached, since every barcode checks its p."""
-    if p > 1 and (int(p) - 1) ** 2 > INT64_MAX:  # int: a numpy p would wrap
+    """Reject a p that is no int prime, or whose (p-1)^2 overflows the oracle's
+    int64 residue products.  Cached, by type too since 3.0 == 3."""
+    if not isinstance(p, int):
+        raise InputError(f"p must be a prime number of type int, got {p!r}")
+    if p > 1 and (p - 1) ** 2 > INT64_MAX:
         raise InputError(f"the prime p must satisfy (p-1)^2 < 2^63, got {p}")
-    if p < 2 or p != int(p) or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
         raise InputError(f"p must be a prime number, got {p}")
 
 

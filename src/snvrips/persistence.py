@@ -39,8 +39,9 @@ other primes a dict keyed by rank.
 grows its own echelon of triangle boundaries once over ascending thresholds,
 and reports whether each 1-chain lies outside that span at each threshold.
 
-``reduce_with_basis`` is the engine's output keyed by filtration position,
-a view kept for the tests and for the name the benchmark's tracer patches.
+Every chain is keyed by edge rank, but for ``reduce_with_basis``: the engine's
+output keyed by filtration position, a view kept for the tests and for the
+name the benchmark's tracer patches.
 """
 
 from __future__ import annotations
@@ -118,12 +119,12 @@ def _f2_reduce(col: int, v: int | None, owner_of, p: int):
     return col, v
 
 
-def _f2_chain(bits: int, positions: list[int]) -> Chain:
-    """The F_2 chain whose set bits are ranks into ``positions``, ascending."""
+def _f2_chain(bits: int) -> Chain:
+    """The F_2 chain whose set bits are its ranks, ascending."""
     chain = {}
     while bits:
         low = bits & -bits
-        chain[positions[low.bit_length() - 1]] = 1
+        chain[low.bit_length() - 1] = 1
         bits ^= low
     return chain
 
@@ -145,10 +146,6 @@ def _fp_reduce(col: Chain, v: Chain | None, owner_of, p: int):
     return col, v
 
 
-def _fp_chain(col: Chain, positions: list[int]) -> Chain:
-    return {positions[k]: c for k, c in col.items()}
-
-
 class _Kernel(NamedTuple):
     """The column operations of F_p.  ``reduce`` adds ``owner_of(low)``
     = (column, V) to the column until its highest row has no owner or it is
@@ -157,13 +154,13 @@ class _Kernel(NamedTuple):
     column: Callable  # (rows, coefficients) -> column
     low: Callable  # nonzero column -> its highest row
     reduce: Callable  # (column, V or None, owner_of, p) -> (column, V)
-    chain: Callable  # (column, positions) -> Chain
+    chain: Callable  # column -> Chain, keyed by rank
     p: int = 2
     signs: tuple[int, ...] = (1, 1, 1)  # face k has sign (-1)^k; an edge takes two
 
 
 _F2 = _Kernel(_f2_column, lambda col: col.bit_length() - 1, _f2_reduce, _f2_chain)
-_FP = _Kernel(_fp_column, max, _fp_reduce, _fp_chain)
+_FP = _Kernel(_fp_column, max, _fp_reduce, dict)
 
 
 def _kernel(p: int) -> _Kernel:
@@ -272,7 +269,7 @@ def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
     # reduce the death columns of the bars a report prints, and the ones they read
     tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
     edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
-    edge_value, tri_value = (cplx.values[cplx.by_dim[d]] for d in (1, 2))
+    edge_value, tri_value = cplx.values
     printed = np.sort(tri[edge_value[edge] < tri_value[tri]]).tolist()
     deaths = _death_columns(tri_faces, pairs, printed, kernel)
 
@@ -306,21 +303,26 @@ def reduce_with_basis(cplx: FilteredComplex, p: int) -> ReductionResult:
     core = _reduce(cplx, p)
     deaths = _death_columns(cplx.faces[1], core.pairs, sorted(core.pairs), _kernel(p))
     chain = _kernel(p).chain
-    vertex_pos, edge_pos, tri_pos = (a.tolist() for a in cplx.by_dim)
+    edge_pos, tri_pos = (a.tolist() for a in cplx.by_dim[1:])
+
+    def at(col) -> Chain:  # a 1-chain keyed by edge position
+        return {edge_pos[r]: c for r, c in chain(col).items()}
+
     reduced: list[Chain] = [{} for _ in range(len(cplx))]
     for e, col in core.h0.items():
-        reduced[edge_pos[e]] = chain(col, vertex_pos)
+        reduced[edge_pos[e]] = chain(col)  # a vertex's position is its rank
     for t, col in deaths.items():
-        reduced[tri_pos[t]] = chain(col, edge_pos)
+        reduced[tri_pos[t]] = at(col)
     pairing = {tri_pos[t]: edge_pos[e] for t, e in core.pairs.items()}
-    cycle_basis = {edge_pos[e]: chain(v, edge_pos) for e, v in core.cycles.items()}
+    cycle_basis = {edge_pos[e]: at(v) for e, v in core.cycles.items()}
     for tri, edge in pairing.items():
         cycle_basis[edge] = dict(reduced[tri])
     return ReductionResult(pairing, cycle_basis, reduced)
 
 
 def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
-    """H_1 barcode of a filtered complex, with a representative per bar.
+    """H_1 barcode of a filtered complex, with a representative per bar,
+    keyed by edge rank.
 
     Zero-length pairs (birth == death) are discarded, and their death
     columns are never reduced unless a printed bar's column reads them.
@@ -328,16 +330,14 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
     check_prime(p)
     core = _reduce(cplx, p)
     chain = _kernel(p).chain
-    edge_pos = cplx.by_dim[1].tolist()
-    edge_value = cplx.values[cplx.by_dim[1]].tolist()
-    tri_value = cplx.values[cplx.by_dim[2]].tolist()
+    edge_value, tri_value = (a.tolist() for a in cplx.values)
 
     bars = [
-        Bar(edge_value[core.pairs[tri]], tri_value[tri], chain(col, edge_pos))
+        Bar(edge_value[core.pairs[tri]], tri_value[tri], chain(col))
         for tri, col in core.deaths.items()
     ]
     for edge, cycle in core.cycles.items():
-        bars.append(Bar(edge_value[edge], None, chain(cycle, edge_pos)))
+        bars.append(Bar(edge_value[edge], None, chain(cycle)))
 
     big = cplx.cap + 1
     bars.sort(
@@ -362,10 +362,10 @@ def nonzero_sweep(
     Entry [k][i] is True iff chain k is outside the span of the boundaries of
     the triangles with value <= thresholds[i]; chain k is tested from
     thresholds[starts[k]] on, where every edge of it must be present, and
-    reads False before.  Chains are keyed by position and reduced in edge
-    ranks against one echelon of triangle boundaries, grown in rank order;
-    each residue is carried from one threshold to the next, since a residue
-    reduced against a smaller span stays valid as the span grows.
+    reads False before.  Chains are keyed by edge rank and reduced against
+    one echelon of triangle boundaries, grown in rank order; each residue is
+    carried from one threshold to the next, since a residue reduced against
+    a smaller span stays valid as the span grows.
     """
     check_prime(p)
     if any(a > b for a, b in zip(thresholds, thresholds[1:])):
@@ -374,17 +374,16 @@ def nonzero_sweep(
         raise ValueError(f"{len(chains)} chains but {len(starts)} starts")
     if not chains:
         return []
-    edge_pos = cplx.by_dim[1]
-    residues: list[Chain] = []  # edge rank -> coefficient
+    (edge_faces, tri_faces), (edge_value, tri_value) = cplx.faces, cplx.values
+    residues: list[Chain] = []
     for chain, start in zip(chains, starts):
         residue = {}
-        for pos, coeff in chain.items():
-            rank = int(np.searchsorted(edge_pos, pos))
-            if edge_pos[rank : rank + 1].tolist() != [pos]:
-                raise InputError(f"chain entry at position {pos} is not an edge")
-            value = int(cplx.values[pos])
+        for rank, coeff in chain.items():
+            if not 0 <= rank < len(edge_value):
+                raise InputError(f"chain entry {rank} is not an edge rank")
+            value = int(edge_value[rank])
             if start < len(thresholds) and value > thresholds[start]:
-                edge = tuple(cplx.vertices[pos, :2].tolist())
+                edge = tuple(edge_faces[rank, ::-1].tolist())
                 raise InputError(
                     f"edge {edge} enters at value {value}, "
                     f"after scale {thresholds[start]}"
@@ -394,7 +393,7 @@ def nonzero_sweep(
         residues.append(residue)
 
     # faces are read one triangle at a time: the sweep may stop long before the last
-    tri_value, tri_faces = cplx.values[cplx.by_dim[2]].tolist(), cplx.faces[1]
+    tri_value = tri_value.tolist()
     echelon: dict[int, Chain] = {}  # pivot row -> normalized column
     nonzero = [[False] * len(thresholds) for _ in chains]
     t = 0

@@ -80,7 +80,7 @@ class SnvReport:
     merges: dict[str, str] = field(default_factory=dict)
     notes: list[str] = field(default_factory=list)
     # In-memory context, not serialized: the inputs and, for a deformed report,
-    # its complex and each bar's chain (in bars order, keyed by position in it).
+    # its complex and each bar's chain (in bars order, keyed by edge rank in it).
     space: DistanceSpace | None = None
     labels: TimeLabels | None = None
     filtered_complex: FilteredComplex | None = None
@@ -142,13 +142,12 @@ def _snv_bar(
     birth_step: int,
     death_step: int | None,
 ) -> SnvBar:
-    """An SNV bar from a barcode bar, its chain's edges named by point id."""
+    """An SNV bar from a barcode bar, its chain's edges named by point id in
+    rank order."""
     chain = bar.representative
-    positions = sorted(chain)
-    ends = cplx.vertices[positions, :2].tolist()
-    named = tuple(
-        (point_ids[a], point_ids[b], chain[pos]) for pos, (a, b) in zip(positions, ends)
-    )
+    ranks = sorted(chain)
+    ends = cplx.faces[0][ranks].tolist()  # edge (i, j) is stored as (j, i)
+    named = tuple((point_ids[a], point_ids[b], chain[r]) for r, (b, a) in zip(ranks, ends))
     return SnvBar(birth_step, death_step, bar.birth_value, bar.death_value, named)
 
 

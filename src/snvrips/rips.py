@@ -11,15 +11,14 @@ closing edge ``searchsorted`` finds among the edge keys, all at once in
 numpy, so no vertex triple outside the graph is ever examined.  A
 triangle's value and its face ranks come from its three edge indices.
 
-Simplices are ordered by (value, dimension, vertex tuple) with one stable
-sort by value over arrays already in (dim, vertex) order; the order is total
-and face-respecting, so downstream matrix reduction is deterministic.  The complex is stored as arrays in that order: each
-simplex's value, and its vertices padded with -1 to three columns.  The
-builder also gives each edge and triangle its faces as ranks (a simplex's
-rank counts the simplices of its dimension before it).  These arrays are the
-only boundary representation: every reader of a face, the reduction
-included, uses them.  The list of ``Simplex`` tuples is a lazy view built on
-first access; no solve reads it.
+Each dimension is stored by rank, the order of one stable sort by value:
+edges arrive row-major and triangles lexicographically, so ties keep vertex
+order.  Each edge and triangle lists its faces as ranks, and these arrays
+are the only boundary representation: every reader of a face, the
+reduction included, uses them.  Merged, the ranks give the filtration order
+(value, dimension, vertex tuple), total and face-respecting; the position of
+each simplex in it and the list of ``Simplex`` tuples are lazy views built
+on first access, which no solve reads.
 """
 
 from __future__ import annotations
@@ -44,43 +43,57 @@ class Simplex(NamedTuple):
 
 @dataclass
 class FilteredComplex:
-    """Simplices in filtration order as arrays, with each simplex's faces as
+    """Edges and triangles by rank, each with its value and its faces as
     ranks.
 
-    ``values[pos]`` is the value of the simplex at filtration position pos,
-    and ``vertices[pos]`` its vertices in ascending order, padded with -1 to
-    three columns; both are int64.  ``simplices`` is the same complex as a
-    list of ``Simplex`` tuples, built on first access and then cached; no
-    solve reads it.
+    A simplex's rank counts the simplices of its dimension before it in
+    filtration order, and a vertex's rank is its index.  ``values[d - 1][r]``
+    is the value of the rank-r simplex of dimension d, for d = 1, 2, in
+    ascending order; vertices enter at 0.  ``faces[d - 1][r]`` holds the
+    ranks of its faces in boundary order: face k drops vertex k and has sign
+    (-1)^k, so edge (i, j) has the vertices j, i and triangle (i, j, k) the
+    edges (j, k), (i, k), (i, j).  All four arrays are int64.
 
     ``cap`` is inclusive: no simplex has value > cap.  Once the cap reaches
     the matrix's largest entry the filtration is fully resolved, and open
     bars are genuinely infinite rather than merely open at the cap.
 
-    ``by_dim[d][r]`` is the position of the rank-r simplex of dimension d.
-    ``faces[d - 1][r]`` holds the ranks of that d-simplex's faces in boundary
-    order, for d = 1, 2: face k drops vertex k and has sign (-1)^k, so edge
-    (i, j) has the vertices j, i and triangle (i, j, k) the edges (j, k),
-    (i, k), (i, j).  A vertex's rank is its index.
+    The filtration order (value, dimension, vertex tuple) merges the ranks:
+    ``by_dim[d][r]`` is the position of the rank-r simplex of dimension d in
+    it, and ``simplices`` the complex as a list of ``Simplex`` tuples in that
+    order.  Both are built on first access and then cached; no solve reads
+    them.
     """
 
-    values: np.ndarray
-    vertices: np.ndarray
+    values: tuple[np.ndarray, np.ndarray]
     cap: int
     n_points: int
-    by_dim: tuple[np.ndarray, np.ndarray, np.ndarray]
     faces: tuple[np.ndarray, np.ndarray]
 
     def __len__(self) -> int:
-        return len(self.values)
+        return self.n_points + sum(map(len, self.values))
+
+    @cached_property
+    def by_dim(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # vertices first; an edge after the triangles below it, a triangle after edges <= it
+        n, (edge_value, tri_value) = self.n_points, self.values
+        return (
+            np.arange(n, dtype=np.int64),
+            n + np.arange(edge_value.size) + np.searchsorted(tri_value, edge_value, "left"),
+            n + np.arange(tri_value.size) + np.searchsorted(edge_value, tri_value, "right"),
+        )
 
     @cached_property
     def simplices(self) -> list[Simplex]:
-        dims = (self.vertices >= 0).sum(axis=1).tolist()
-        return [
-            Simplex(tuple(row[:k]), value)
-            for row, k, value in zip(self.vertices.tolist(), dims, self.values.tolist())
-        ]
+        edge_faces, tri_faces = self.faces
+        ends = edge_faces[:, ::-1]  # edge (i, j) lists the vertices j, i
+        corners = np.column_stack((ends[tri_faces[:, 2]], edge_faces[tri_faces[:, 1], 0]))
+        rows = [[v] for v in range(self.n_points)] + ends.tolist() + corners.tolist()
+        values = [0] * self.n_points + np.concatenate(self.values).tolist()
+        out: list = [None] * len(self)
+        for pos, row, value in zip(np.concatenate(self.by_dim).tolist(), rows, values):
+            out[pos] = Simplex(tuple(row), value)
+        return out
 
 
 class Edges(NamedTuple):
@@ -131,33 +144,18 @@ def build_rips(edges: Edges, cap: int) -> FilteredComplex:
     ):
         raise ValueError(f"edges must be row-major, i < j < n, values in [0, {cap}]")
     ij, ik, jk = _triangles(edges, keys)
-    ti, tj, tk = ei[ij], ej[ij], ej[ik]
     tv = np.maximum(np.maximum(ev[ij], ev[ik]), ev[jk])
 
-    value = np.concatenate((np.zeros(n, dtype=np.int64), ev, tv))
-    dim = np.repeat([0, 1, 2], [n, ei.size, ti.size])
-    pad = np.full(n + ei.size, -1, dtype=np.int64)
-    v0 = np.concatenate((np.arange(n, dtype=np.int64), ei, ti))
-    v1 = np.concatenate((pad[:n], ej, tj))
-    v2 = np.concatenate((pad, tk))
-    # the arrays are in (dim, v0, v1, v2) order: vertices by index, edges
-    # row-major, triangles as _triangles emits them, lexicographically
-    order = np.argsort(value, kind="stable")
-
-    # Ranks: edges and triangles, each in filtration order, as indices into
-    # the edge list and the triangle arrays.
-    by_dim = tuple(np.flatnonzero(dim[order] == k) for k in range(3))
-    edge_at = order[by_dim[1]] - n
-    tri_at = order[by_dim[2]] - n - ei.size
+    # ranks: a stable sort by value per dimension keeps ties in vertex order
+    edge_at = np.argsort(ev, kind="stable")
+    tri_at = np.argsort(tv, kind="stable")
     edge_rank = np.empty(ei.size, dtype=np.int64)
     edge_rank[edge_at] = np.arange(ei.size)
     faces = (
         np.column_stack((ej, ei))[edge_at],
         edge_rank[np.column_stack((jk, ik, ij))[tri_at]],
     )
-
-    vertices = np.column_stack((v0, v1, v2))[order]
-    return FilteredComplex(value[order], vertices, cap, n, by_dim, faces)
+    return FilteredComplex((ev[edge_at], tv[tri_at]), cap, n, faces)
 
 
 def boundary_matrix(cplx: FilteredComplex, p: int) -> list[dict[int, int]]:

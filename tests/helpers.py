@@ -2,6 +2,7 @@
 
 from dataclasses import replace
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,12 +92,13 @@ def classical_step(space: DistanceSpace, labels: TimeLabels, i: int, p: int, cap
 
 
 def ids_of_chain(cplx: FilteredComplex, point_ids, chain: dict[int, int]):
-    """A chain keyed by position as (id, id, coefficient) edges in position
+    """A chain keyed by edge rank as (id, id, coefficient) edges in rank
     order, the ends read from the simplex list."""
+    edges = edges_of(cplx)
     return tuple(
-        (point_ids[a], point_ids[b], chain[pos])
-        for pos in sorted(chain)
-        for a, b in [cplx.simplices[pos].vertices]
+        (point_ids[a], point_ids[b], chain[r])
+        for r in sorted(chain)
+        for a, b in [edges[r].vertices]
     )
 
 
@@ -151,9 +153,21 @@ def suite_instance(seed: int) -> tuple[DistanceSpace, TimeLabels, int]:
     return space, labels, 2 if seed % 2 == 0 else 3
 
 
-def all_triples_rips(dist, cap: int) -> FilteredComplex:
+class Reference(NamedTuple):
+    """A filtered complex in the builder's terms, as the reference computes
+    it: ``values`` and ``faces`` by rank, ``by_dim`` and ``simplices`` in
+    filtration order."""
+
+    simplices: list[Simplex]
+    by_dim: tuple[np.ndarray, ...]
+    values: tuple[np.ndarray, ...]
+    faces: tuple[np.ndarray, ...]
+
+
+def all_triples_rips(dist, cap: int) -> Reference:
     """Reference Rips complex: tests every vertex pair and triple against the
-    cap, and finds each face's rank by its vertex tuple."""
+    cap, sorts the whole complex by (value, dimension, vertex tuple), and
+    finds each face's rank by its vertex tuple."""
     d = np.asarray(dist, dtype=np.int64)
     n = d.shape[0]
     rows = d.tolist()
@@ -182,11 +196,11 @@ def all_triples_rips(dist, cap: int) -> FilteredComplex:
         ).reshape(-1, k + 1)
         for k in (1, 2)
     )
-    values = np.array([s.value for s in simplices], dtype=np.int64)
-    vertices = np.array(
-        [s.vertices + (-1,) * (2 - s.dim) for s in simplices], dtype=np.int64
-    ).reshape(-1, 3)
-    return FilteredComplex(values, vertices, cap, n, by_dim, faces)
+    values = tuple(
+        np.array([simplices[pos].value for pos in by_dim[k]], dtype=np.int64)
+        for k in (1, 2)
+    )
+    return Reference(simplices, by_dim, values, faces)
 
 
 def brute_force_dedupe(point_ids, dist):
@@ -244,24 +258,42 @@ def position(cplx: FilteredComplex, vertices: tuple[int, ...]) -> int:
     return next(pos for pos, s in enumerate(cplx.simplices) if s.vertices == vertices)
 
 
+def edges_of(cplx: FilteredComplex) -> list[Simplex]:
+    """The edges of a complex in rank order, read off the simplex list."""
+    return [s for s in cplx.simplices if s.dim == 1]
+
+
+def rank(cplx: FilteredComplex, vertices: tuple[int, int]) -> int:
+    """The rank of the edge with these vertices, by a scan."""
+    return next(r for r, s in enumerate(edges_of(cplx)) if s.vertices == vertices)
+
+
+def by_rank(cplx: FilteredComplex, chain: dict[int, int]) -> dict[int, int]:
+    """A chain of edges keyed by position, keyed by edge rank instead; an
+    entry that is no edge raises ValueError."""
+    positions = [pos for pos, s in enumerate(cplx.simplices) if s.dim == 1]
+    return {positions.index(pos): coeff for pos, coeff in chain.items()}
+
+
 def chain_of_ids(cplx: FilteredComplex, point_ids, representative) -> dict[int, int]:
-    """An id-labelled representative as a chain keyed by position, by scans."""
+    """An id-labelled representative as a chain keyed by edge rank, by scans."""
     index = {pid: i for i, pid in enumerate(point_ids)}
     return {
-        position(cplx, tuple(sorted((index[a], index[b])))): coeff
+        rank(cplx, tuple(sorted((index[a], index[b])))): coeff
         for a, b, coeff in representative
     }
 
 
 def chain_boundary(cplx: FilteredComplex, chain: dict[int, int], p: int) -> dict[int, int]:
-    """The boundary of a chain keyed by position, mod p.  Faces come from each
-    simplex's vertex tuple (face k drops vertex k, sign (-1)^k), not from the
-    builder's face ranks."""
+    """The boundary of a 1-chain keyed by edge rank, as a 0-chain keyed by
+    vertex, mod p.  Faces come from each edge's vertex pair (face k drops
+    vertex k, sign (-1)^k), not from the builder's face ranks."""
+    edges = edges_of(cplx)
     acc: dict[int, int] = {}
-    for pos, coeff in chain.items():
-        verts = cplx.simplices[pos].vertices
-        for drop in range(len(verts) if len(verts) > 1 else 0):  # a vertex has none
-            row = position(cplx, verts[:drop] + verts[drop + 1 :])
+    for r, coeff in chain.items():
+        verts = edges[r].vertices
+        for drop in range(2):
+            (row,) = verts[:drop] + verts[drop + 1 :]
             val = 1 if drop % 2 == 0 else p - 1
             nv = (acc.get(row, 0) + coeff * val) % p
             if nv:

@@ -16,10 +16,13 @@ from snvrips.persistence import Chain, _reduce, reduce_with_basis
 from snvrips.rips import Edges, boundary_matrix, build_rips
 
 from helpers import (
+    by_rank,
     chain_boundary,
     count_alive,
+    edges_of,
     matrix_rips,
     position,
+    rank,
     square_space,
     standard_reduction,
     suite_instance,
@@ -60,7 +63,7 @@ def test_square_barcode():
     assert len(barcode.bars) == 1
     bar = barcode.bars[0]
     assert (bar.birth_value, bar.death_value) == (1, 2)
-    edges = {cplx.simplices[pos].vertices for pos in bar.representative}
+    edges = {edges_of(cplx)[r].vertices for r in bar.representative}
     assert edges == {(0, 1), (0, 3), (1, 2), (2, 3)}  # the four sides
     assert cplx.cap >= square_space().diameter()  # fully resolved: open bars are infinite
     assert count_alive(barcode, 1) == 1
@@ -74,7 +77,7 @@ def test_square_capped_below_diameter():
     bar = barcode.bars[0]
     assert bar.birth_value == 1 and bar.death_value is None
     assert cplx.cap < square_space().diameter()  # open at the cap, not genuinely infinite
-    edges = {cplx.simplices[pos].vertices for pos in bar.representative}
+    edges = {edges_of(cplx)[r].vertices for r in bar.representative}
     assert edges == {(0, 1), (0, 3), (1, 2), (2, 3)}
 
 
@@ -92,10 +95,11 @@ def test_fan_death_column_reads_a_chain_of_thousands_of_columns():
     value |= {(0, i): 2 for i in range(2, n - 1)}
     i, j = np.array(sorted(value)).T
     cplx = build_rips(Edges(n, i, j, np.array([value[e] for e in zip(i, j)])), 2)
-    assert len(cplx.by_dim[2]) == n - 2
+    assert len(cplx.faces[1]) == n - 2
     (bar,) = barcode_h1(cplx, 2).bars
     assert (bar.birth_value, bar.death_value) == (1, 2)
-    edges = {tuple(cplx.vertices[pos, :2].tolist()) for pos in bar.representative}
+    # edge (i, j) lists its vertices as j, i
+    edges = {tuple(cplx.faces[0][r, ::-1].tolist()) for r in bar.representative}
     assert edges == {e for e, v in value.items() if v == 1}
     assert set(bar.representative.values()) == {1}
 
@@ -123,17 +127,18 @@ def test_cycle_basis_chains_are_cycles_keyed_by_their_youngest_edge():
             assert set(result.pairing.values()) <= set(result.cycle_basis)
             for edge, chain in result.cycle_basis.items():
                 assert max(chain) == edge  # positions follow filtration order
-                assert chain_boundary(cplx, chain, p) == {}
+                assert chain_boundary(cplx, by_rank(cplx, chain), p) == {}
 
 
 def test_representatives_are_cycles_born_at_their_birth():
     for seed in range(12):
         space, labels, p = suite_instance(seed)
         cplx = matrix_rips(space.dist, cap=space.diameter())
+        edges = edges_of(cplx)
         for bar in barcode_h1(cplx, p).bars:
             assert chain_boundary(cplx, bar.representative, p) == {}
             assert all(v % p for v in bar.representative.values())
-            born = max(cplx.simplices[pos].value for pos in bar.representative)
+            born = max(edges[r].value for r in bar.representative)
             assert born == bar.birth_value
 
 
@@ -174,8 +179,8 @@ def test_class_is_nonzero_on_square():
     assert not nonzero_at(bar.representative, cplx, 2, 2)
     assert not nonzero_at({}, cplx, 1, 2)
     # a coefficient that vanishes mod p is the zero chain
-    pos = next(iter(bar.representative))
-    assert not nonzero_at({pos: 2}, cplx, 1, 2)
+    edge = next(iter(bar.representative))
+    assert not nonzero_at({edge: 2}, cplx, 1, 2)
     # one sweep carries the residue across thresholds; a chain reads False
     # before its start
     rep = bar.representative
@@ -187,14 +192,14 @@ def test_class_is_nonzero_on_square():
 
 def test_class_check_rejects_absent_edges():
     cplx = matrix_rips(square_space().dist, cap=2)
-    diagonal = position(cplx, (0, 2))
-    with pytest.raises(InputError, match="enters at value 2"):
+    diagonal = rank(cplx, (0, 2))
+    with pytest.raises(InputError, match=r"edge \(0, 2\) enters at value 2"):
         nonzero_at({diagonal: 1}, cplx, 1, 2)
     # the edge is present at every threshold where its chain is tested
     assert nonzero_sweep(cplx, [{diagonal: 1}], [1, 2], 2, [1]) == [[False, True]]
-    vertex = position(cplx, (0,))
-    with pytest.raises(InputError, match="not an edge"):
-        nonzero_at({vertex: 1}, cplx, 1, 2)
+    for outside in (-1, len(cplx.faces[0])):
+        with pytest.raises(InputError, match=f"chain entry {outside} is not an edge"):
+            nonzero_at({outside: 1}, cplx, 1, 2)
     with pytest.raises(ValueError, match="ascending"):
         nonzero_sweep(cplx, [], [2, 1], 2, [])
 
@@ -213,14 +218,14 @@ def test_mod_3_coefficients():
     result = reduce_with_basis(cplx, 3)
     assert result.pairing == {6: 5}
     chain = result.cycle_basis[5]
-    assert chain_boundary(cplx, chain, 3) == {}
+    assert chain_boundary(cplx, by_rank(cplx, chain), 3) == {}
     assert set(chain.values()) <= {1, 2}
 
 
 def test_signs_over_f3():
-    # square sides (0,1), (0,3), (1,2), (2,3) at positions 4-7: over F_3 the
-    # side (0,3) runs against the others, so it carries -1 = 2
-    cycle = {4: 1, 5: 2, 6: 1, 7: 1}
+    # square sides (0,1), (0,3), (1,2), (2,3) at ranks 0-3 (positions 4-7):
+    # over F_3 the side (0,3) runs against the others, so it carries -1 = 2
+    cycle = {0: 1, 1: 2, 2: 1, 3: 1}
     for cap in (1, 2):
         cplx = matrix_rips(square_space().dist, cap=cap)
         bars = barcode_h1(cplx, 3).bars
@@ -230,7 +235,7 @@ def test_signs_over_f3():
     cplx = matrix_rips(square_space().dist, cap=2)
     result = reduce_with_basis(cplx, 3)
     assert result.pairing == {10: 8, 11: 9, 12: 7}
-    assert result.reduced[12] == cycle
+    assert result.reduced[12] == {4: 1, 5: 2, 6: 1, 7: 1}
     assert result.reduced[10] == {6: 1, 8: 2, 4: 1}  # (1,2) - (0,2) + (0,1)
 
 
@@ -262,7 +267,8 @@ def test_edges_without_triangles_are_all_essential():
         assert result.pairing == {}
         assert set(result.cycle_basis) == closing
         for edge, chain in result.cycle_basis.items():
-            assert max(chain) == edge and chain_boundary(cplx, chain, p) == {}
+            assert max(chain) == edge
+            assert chain_boundary(cplx, by_rank(cplx, chain), p) == {}
         # the five spanning-tree edges keep their reduced columns
         assert result.reduced == reduced
         assert sum(1 for col in result.reduced if col) == 5
@@ -284,7 +290,7 @@ def test_coboundary_that_needs_an_addition():
         result, reduced = run_both(cplx, p)
         assert result.pairing == {10: 8, 11: 9, 12: 7}
         assert result.reduced == reduced
-        assert chain_boundary(cplx, result.reduced[12], p) == {}
+        assert chain_boundary(cplx, by_rank(cplx, result.reduced[12]), p) == {}
         bars = barcode_h1(cplx, p).bars
         assert [(b.birth_value, b.death_value) for b in bars] == [(2, 3)]
 

@@ -26,6 +26,7 @@ from snvrips.pipeline import (
     CLASSICAL_NOTE,
     SnvBar,
 )
+from snvrips.rips import FilteredComplex
 
 from helpers import (
     apex_square,
@@ -73,7 +74,9 @@ def test_classical_rejects_unobservable_cap():
 def test_every_entry_point_taking_p_rejects_a_field_that_is_not_prime():
     space, labels = random_instance(RandomInstanceSpec(3, 12, 3, 2))
     cplx = matrix_rips(space.dist, 1)
-    for p in (4, 1, 2.5, np.int64(4294967311)):
+    # p = 3 passes first, so a cached check by value alone would pass 3.0 too
+    assert deformed_snv(space, labels, 3).p == 3
+    for p in (4, 1, 2.5, np.int64(4294967311), 3.0, np.int64(3)):
         for run in (
             lambda: deformed_snv(space, labels, p),
             lambda: classical_snv(space, labels, p),
@@ -366,13 +369,20 @@ def test_stability_is_clean_on_merged_matrix_input():
 
 
 def test_solves_never_build_the_simplex_list(monkeypatch):
-    built = []
+    # nor the positions of by_dim, nor ask a complex its length
+    built, measured = [], []
+    length = FilteredComplex.__len__
 
     def recording_build(*args, **kwargs):
         built.append(build_rips(*args, **kwargs))
         return built[-1]
 
+    def recording_len(cplx):
+        measured.append(cplx)
+        return length(cplx)
+
     monkeypatch.setattr(snvrips.pipeline, "build_rips", recording_build)
+    monkeypatch.setattr(FilteredComplex, "__len__", recording_len)
     space, labels = random_instance(RandomInstanceSpec(seed=4, n=30, m=5, d_max=2))
     for p in (2, 3):
         deformed = deformed_snv(space, labels, p)
@@ -381,9 +391,14 @@ def test_solves_never_build_the_simplex_list(monkeypatch):
             assert verify_correspondence(classical_snv(space, labels, p, cap), deformed).ok
         assert any(bar.death_step is not None for bar in deformed.bars)
     assert len(built) > 2
-    assert all("simplices" not in cplx.__dict__ for cplx in built)
-    # the check can fail: the list is cached once something reads it
-    assert built[0].simplices and "simplices" in built[0].__dict__
+    views = ("by_dim", "simplices")
+    assert all(view not in cplx.__dict__ for cplx in built for view in views)
+    assert measured == []
+    # the checks can fail: each view is cached once something reads it, and
+    # the simplex list asks the length
+    assert len(built[0].by_dim[1]) and "by_dim" in built[0].__dict__
+    assert built[1].simplices and all(view in built[1].__dict__ for view in views)
+    assert measured == [built[1]]
 
 
 def test_benchmark_smoke():

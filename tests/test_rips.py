@@ -24,13 +24,11 @@ def test_unit_triangle_complex():
         (0, 1, 2),
     ]
     assert [s.value for s in cplx.simplices] == [0, 0, 0, 1, 1, 1, 1]
-    # the list is a view of the arrays: vertices padded with -1, values
-    assert cplx.vertices.tolist() == [
-        [0, -1, -1], [1, -1, -1], [2, -1, -1],
-        [0, 1, -1], [0, 2, -1], [1, 2, -1],
-        [0, 1, 2],
-    ]
-    assert cplx.values.tolist() == [0, 0, 0, 1, 1, 1, 1]
+    # the list is a view of the arrays: each dimension's values and faces by
+    # rank, merged by the positions of by_dim
+    assert [a.tolist() for a in cplx.values] == [[1, 1, 1], [1]]
+    assert [a.tolist() for a in cplx.faces] == [[[1, 0], [2, 0], [2, 1]], [[2, 1, 0]]]
+    assert [a.tolist() for a in cplx.by_dim] == [[0, 1, 2], [3, 4, 5], [6]]
     assert position(cplx, (0, 2)) == 4
 
 
@@ -98,7 +96,7 @@ def edge_list(n, i, j, value):
 def test_build_rips_rejects_edges_it_would_build_wrongly():
     # the triangle graph in row-major order has its triangle
     triangle = build_rips(edge_list(3, [0, 0, 1], [1, 2, 2], [1, 1, 1]), 1)
-    assert len(triangle.by_dim[2]) == 1
+    assert len(triangle.faces[1]) == 1
     # the empty graph is row-major: n isolated vertices
     assert len(build_rips(edge_list(3, [], [], []), 0)) == 3
     bad = [
