@@ -76,8 +76,8 @@ class DistanceSpace:
                 raise InputError("distance matrix must have a zero diagonal")
             if not np.array_equal(d, d.T):
                 raise InputError("distance matrix must be symmetric")
-            off = ~np.eye(d.shape[0], dtype=bool)
-            if (d[off] == 0).any():
+            # the diagonal holds n of the zeros, so any more lie off it
+            if np.count_nonzero(d == 0) > d.shape[0]:
                 raise InputError(
                     "distinct points at distance 0 are not allowed; merge them first"
                 )
@@ -446,9 +446,11 @@ def build_space_from_sequences(
     if not records:
         raise InputError("no sequence records given")
     ids = [rid for rid, _ in records]
-    if len(set(ids)) != len(ids):
-        dup = next(rid for i, rid in enumerate(ids) if rid in ids[:i])
-        raise InputError(f"duplicate sequence id {dup!r}")
+    seen: set[str] = set()
+    for rid in ids:
+        if rid in seen:
+            raise InputError(f"duplicate sequence id {rid!r}")
+        seen.add(rid)
     ref_id, ref_seq = records[0]
     for rid, seq in records[1:]:
         if len(seq) != len(ref_seq):

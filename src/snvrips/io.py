@@ -8,7 +8,9 @@ row required, columns ``id`` and ``time`` with non-negative integer times).
 
 Matrix: the strict lower triangle of a symmetric integer matrix, one row per
 line (line k holds k entries), plus a newline-separated time vector with one
-entry per point; points are named p0, p1, ... in file order.
+entry per point; points are named p0, p1, ... in file order.  A file of ASCII
+digits, spaces, tabs and newlines is read from its bytes in numpy; any other
+goes through ``int`` cell by cell, which names the first bad cell.
 
 Zero off-diagonal distances (identical sequences) are merged by
 ``dedupe_zero_distance``, which keeps each group's lexicographically least id;
@@ -25,7 +27,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -162,18 +163,95 @@ def parse_sequences(
     return _merged_bundle(space, merges, times, horizon, "identical sequences")
 
 
-def _raise_bad_cell(k: int, cells: list[str]) -> None:
-    """Name the first cell of matrix line k, in line order, that is not an
-    integer, is negative or exceeds int64."""
-    for cell in cells:
-        try:
-            value = int(cell)
-        except ValueError:
-            raise InputError(f"matrix line {k}: {cell!r} is not an integer") from None
-        if value < 0:
-            raise InputError(f"matrix line {k}: negative distance {value}")
-        if value > INT64_MAX:
-            raise InputError(f"matrix line {k}: distance {value} exceeds int64")
+# 10^18 - 1 < 2^63: a cell of at most 18 digits cannot wrap int64
+_CELL_DIGITS = 18
+# characters of matrix text the byte reader takes at once, cut after a newline
+_BLOCK_CHARS = 1 << 20
+
+
+def _read_digit_matrix(text: str, n: int) -> np.ndarray | None:
+    """The symmetric n x n matrix whose strict lower triangle ``text`` lists,
+    read in numpy from the text's bytes, one block of lines at a time.
+
+    None unless the text holds only ASCII digits, spaces, tabs and newlines,
+    its k-th non-blank line holds k cells of at most 18 digits, and it has
+    n - 1 such lines: ``_read_cells`` reads any other text and names its
+    first error."""
+    # each cell takes a digit and then a space or newline, bar the last one's
+    # newline: a shorter text cannot fill n rows, and allocates no n x n matrix
+    if not text.isascii() or len(text) < n * (n - 1) - 1:
+        return None
+    dist = np.zeros((n, n), dtype=np.int64)
+    row = 1  # the matrix row of the next non-blank line
+    start = 0
+    while start < len(text):
+        end = (
+            text.rfind("\n", start, start + _BLOCK_CHARS) + 1
+            or text.find("\n", start + _BLOCK_CHARS) + 1  # a line longer than a block
+            or len(text)
+        )
+        block = text[start:end].encode("ascii")
+        start = end
+        if not block.endswith(b"\n"):
+            block += b"\n"
+        if block.translate(None, b"0123456789 \t\n"):
+            return None
+        data = np.frombuffer(block, dtype=np.uint8)
+        digit = data - np.uint8(48)  # a space, tab or newline wraps to 200 or more
+        # a cell is a run of digits; the block ends in a newline, so each run stops
+        bounds = np.flatnonzero(np.diff(digit < 10, prepend=False)).astype(np.int32)
+        first, stop = bounds[::2], bounds[1::2]
+        width = stop - first
+        widest = int(width.max(initial=0))
+        per_line = np.diff(np.searchsorted(first, np.flatnonzero(data == 10)), prepend=0)
+        per_line = per_line[per_line > 0]
+        last = row + per_line.size
+        if widest > _CELL_DIGITS or last > n or not np.array_equal(
+            per_line, np.arange(row, last)
+        ):
+            return None
+        # each cell's value, one decimal place at a time from the right
+        values = np.zeros(first.size, dtype=np.int64)
+        place = np.int64(1)
+        for k in range(widest):
+            at = np.maximum(stop - (k + 1), 0)
+            values += np.where(width > k, digit[at], 0) * place
+            place *= 10
+        cell = 0
+        for i in range(row, last):
+            dist[i, :i] = dist[:i, i] = values[cell : cell + i]
+            cell += i
+        row = last
+    return dist if row == n else None
+
+
+def _read_cells(text: str, n: int) -> np.ndarray:
+    """The symmetric n x n matrix whose strict lower triangle ``text`` lists,
+    one Python ``int`` per cell; raises InputError naming the first wrong row
+    count, and else the first wrong line, in line order: its cell count, then
+    the first cell that is not an integer, is negative or exceeds int64."""
+    rows = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if len(rows) != n - 1:
+        raise InputError(
+            f"matrix has {len(rows)} rows but {n} time entries need {n - 1}"
+        )
+    dist = np.zeros((n, n), dtype=np.int64)
+    for k, cells in enumerate(rows, start=1):
+        if len(cells) != k:
+            raise InputError(f"matrix line {k}: expected {k} entries, got {len(cells)}")
+        values = []
+        for cell in cells:
+            try:
+                value = int(cell)
+            except ValueError:
+                raise InputError(f"matrix line {k}: {cell!r} is not an integer") from None
+            if value < 0:
+                raise InputError(f"matrix line {k}: negative distance {value}")
+            if value > INT64_MAX:
+                raise InputError(f"matrix line {k}: distance {value} exceeds int64")
+            values.append(value)
+        dist[k, :k] = dist[:k, k] = values
+    return dist
 
 
 def parse_matrix(
@@ -197,30 +275,9 @@ def parse_matrix(
         times_list.append(t)
     n = len(times_list)
 
-    rows = [ln.split() for ln in matrix_text.splitlines() if ln.strip()]
-    if len(rows) != n - 1:
-        raise InputError(
-            f"matrix has {len(rows)} rows but {n} time entries need {n - 1}"
-        )
-    # every cell at once; the lines are walked only to name the first error
-    try:
-        if list(map(len, rows)) != list(range(1, n)):
-            raise ValueError
-        values = np.array(list(map(int, chain.from_iterable(rows))), dtype=np.int64)
-        if (values < 0).any():
-            raise ValueError
-    except (ValueError, OverflowError):
-        for k, cells in enumerate(rows, start=1):
-            if len(cells) != k:
-                raise InputError(
-                    f"matrix line {k}: expected {k} entries, got {len(cells)}"
-                ) from None
-            _raise_bad_cell(k, cells)
-        raise
-    dist = np.zeros((n, n), dtype=np.int64)
-    dist[np.tril_indices(n, -1)] = values
-    dist += dist.T
-
+    dist = _read_digit_matrix(matrix_text, n)
+    if dist is None:
+        dist = _read_cells(matrix_text, n)
     ids = tuple(f"p{i}" for i in range(n))
     times = dict(zip(ids, times_list))
     ids2, slot, merges = dedupe_zero_distance(ids, group_zero_distance(dist))

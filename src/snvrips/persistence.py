@@ -353,7 +353,7 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
 def nonzero_sweep(
     cplx: FilteredComplex,
     chains: list[Chain],
-    thresholds: Sequence[int],
+    thresholds: Sequence[int] | np.ndarray,
     p: int,
     starts: list[int],
 ) -> list[list[bool]]:
@@ -368,12 +368,14 @@ def nonzero_sweep(
     a smaller span stays valid as the span grows.
     """
     check_prime(p)
-    if any(a > b for a, b in zip(thresholds, thresholds[1:])):
+    thresholds = np.asarray(thresholds)
+    if (np.diff(thresholds) < 0).any():
         raise ValueError("thresholds must be ascending")
     if len(starts) != len(chains):
         raise ValueError(f"{len(chains)} chains but {len(starts)} starts")
     if not chains:
         return []
+    thresholds = thresholds.tolist()
     (edge_faces, tri_faces), (edge_value, tri_value) = cplx.faces, cplx.values
     residues: list[Chain] = []
     for chain, start in zip(chains, starts):

@@ -342,7 +342,7 @@ def stability_report(report: SnvReport) -> StabilityReport:
     nonzero_rows = nonzero_sweep(
         report.filtered_complex,
         report.chains,
-        range(schedule.kappa(0), schedule.kappa(m) + 1),
+        np.arange(schedule.kappa(0), schedule.kappa(m) + 1),
         report.p,
         [bar.birth_step for bar in report.bars],
     )

@@ -123,7 +123,7 @@ def _triangles(edges: Edges, keys: np.ndarray) -> tuple[np.ndarray, ...]:
     want += ej[ik]
     jk = np.searchsorted(keys, want)
     np.minimum(jk, keys.size - 1, out=jk)
-    found = keys[jk] == want
+    found = np.flatnonzero(keys[jk] == want)
     return ij[found], ik[found], jk[found]
 
 
@@ -146,9 +146,11 @@ def build_rips(edges: Edges, cap: int) -> FilteredComplex:
     ij, ik, jk = _triangles(edges, keys)
     tv = np.maximum(np.maximum(ev[ij], ev[ik]), ev[jk])
 
-    # ranks: a stable sort by value per dimension keeps ties in vertex order
-    edge_at = np.argsort(ev, kind="stable")
-    tri_at = np.argsort(tv, kind="stable")
+    # ranks: a stable sort by value per dimension keeps ties in vertex order;
+    # over keys of 16 bits or fewer it is a radix sort
+    narrow = np.min_scalar_type(cap)
+    edge_at = np.argsort(ev.astype(narrow), kind="stable")
+    tri_at = np.argsort(tv.astype(narrow), kind="stable")
     edge_rank = np.empty(ei.size, dtype=np.int64)
     edge_rank[edge_at] = np.arange(ei.size)
     faces = (

@@ -18,6 +18,7 @@ from snvrips import (
     build_rips,
     random_instance,
 )
+from snvrips.distance import INT64_MAX
 from snvrips.rips import Simplex
 from snvrips.pipeline import SnvBar, SnvReport
 
@@ -232,6 +233,31 @@ def brute_force_dedupe(point_ids, dist):
     for a, b in combinations(range(len(members)), 2):
         new[a, b] = new[b, a] = min(int(d[i, j]) for i in members[a] for j in members[b])
     return tuple(ids[k] for k in kept), new, merges
+
+
+def read_lower_triangle(text: str, n: int) -> np.ndarray:
+    """Reference matrix reader: one ``int`` per ``split()`` cell of each
+    non-blank line, mirrored into an n x n matrix.  Raises InputError with the
+    parser's text for the first fault: the row count, then line by line its
+    cell count, then each cell in order."""
+    rows = [line.split() for line in text.splitlines() if line.strip()]
+    if len(rows) != n - 1:
+        raise InputError(f"matrix has {len(rows)} rows but {n} time entries need {n - 1}")
+    full = np.zeros((n, n), dtype=np.int64)
+    for k, cells in enumerate(rows, start=1):
+        if len(cells) != k:
+            raise InputError(f"matrix line {k}: expected {k} entries, got {len(cells)}")
+        for c, cell in enumerate(cells):
+            try:
+                value = int(cell)
+            except ValueError:
+                raise InputError(f"matrix line {k}: {cell!r} is not an integer") from None
+            if value < 0:
+                raise InputError(f"matrix line {k}: negative distance {value}")
+            if value > INT64_MAX:
+                raise InputError(f"matrix line {k}: distance {value} exceeds int64")
+            full[k, c] = full[c, k] = value
+    return full
 
 
 def corrupted_copy(report: SnvReport, bar_index: int = 0) -> SnvReport:

@@ -259,3 +259,11 @@ def test_build_space_rejects_bad_records():
         build_space_from_sequences([("s1", "AC"), ("s2", "ACG")])
     with pytest.raises(InputError, match="no sequence records"):
         build_space_from_sequences([])
+
+
+def test_a_duplicate_id_is_the_first_one_seen_before():
+    for ids, dup in (("abba", "b"), ("abab", "a"), ("abcc", "c")):
+        records = [(rid, "AC") for rid in ids]
+        with pytest.raises(InputError) as caught:
+            build_space_from_sequences(records)
+        assert str(caught.value) == f"duplicate sequence id {dup!r}"

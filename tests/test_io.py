@@ -164,10 +164,22 @@ def test_parse_matrix_names_a_bad_cell_before_a_later_wrong_count():
         parse_matrix("1\n1 1\n1 1 1\n1 1\n", times)
 
 
+def test_a_time_vector_far_longer_than_the_matrix_is_a_row_count_error():
+    # 200,000 points would need a 320 GB matrix: the row count is named first
+    with pytest.raises(InputError, match="1 rows but 200000 time entries need 199999"):
+        parse_matrix("1\n", "0\n" * 200_000)
+
+
 def test_parse_matrix_rejects_entries_beyond_int64():
     with pytest.raises(InputError, match="exceeds int64"):
         parse_matrix(f"{2**63}\n", "0\n1\n")
     assert parse_matrix(f"{2**63 - 1}\n", "0\n1\n").space.diameter() == 2**63 - 1
+    # cells 256 and 257 digits wide: a width kept modulo 256 would read them
+    # as their last 0 or 1 digits
+    for cell in ("1" * 256, "9" * 257):
+        with pytest.raises(InputError, match="exceeds int64"):
+            parse_matrix(f"{cell}\n", "0\n1\n")
+    assert parse_matrix("0" * 256 + "7\n", "0\n1\n").space.diameter() == 7
 
 
 def test_emit_classical_square_json():

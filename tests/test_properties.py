@@ -2,12 +2,12 @@
 reduction engine against a plain standard reduction, barcode alive-counts
 against dense Betti numbers over several primes, the homology sweep against
 dense ranks, per-step counts against a brute-force count, zero-distance
-merging in both parsers and against a brute-force merge, the matrix parser's
-first bad cell, the parsers on arbitrary text, a longer horizon against the
-shorter one, a zero-distance copy against the input without it, the two
-pipelines against the oracle over F_2 to F_7, the sequences' pigeonhole
-unit edges against Hamming distances, and the one edge list every complex is
-built from against dense per-step and deformed-matrix references."""
+merging in both parsers and against a brute-force merge, the matrix parser
+against a reference reader, the parsers on arbitrary text, a longer horizon
+against the shorter one, a zero-distance copy against the input without it,
+the two pipelines against the oracle over F_2 to F_7, the sequences'
+pigeonhole unit edges against Hamming distances, and the one edge list every
+complex is built from against dense per-step and deformed-matrix references."""
 
 import contextlib
 import io
@@ -23,6 +23,7 @@ from hypothesis import strategies as st
 
 import snvrips.cli as cli
 import snvrips.distance
+import snvrips.io
 from snvrips import (
     DistanceSpace,
     InputError,
@@ -61,6 +62,7 @@ from helpers import (
     hamming,
     ids_of_chain,
     matrix_rips,
+    read_lower_triangle,
     standard_reduction,
 )
 
@@ -332,20 +334,23 @@ def test_dedupe_matches_brute_force(case):
     assert list(got_merges.items()) == list(want_merges.items())
 
 
-def first_bad_cell(rows: list[list[str]]) -> str | None:
-    """The message for the first cell, line by line, that is not an integer,
-    is negative or exceeds int64; None when every cell is fine."""
-    for k, cells in enumerate(rows, start=1):
-        for cell in cells:
-            try:
-                value = int(cell)
-            except ValueError:
-                return f"matrix line {k}: {cell!r} is not an integer"
-            if value < 0:
-                return f"matrix line {k}: negative distance {value}"
-            if value > INT64_MAX:
-                return f"matrix line {k}: distance {value} exceeds int64"
-    return None
+def reads_like_the_reference(text: str, n: int) -> bool:
+    """Whether ``parse_matrix`` reads ``text`` with n time entries, checking
+    that it gives the reference reader's matrix, after the brute-force merge,
+    or the reference's InputError text."""
+    times = "0\n" * n
+    try:
+        full = read_lower_triangle(text, n)
+    except InputError as exc:
+        with pytest.raises(InputError) as caught:
+            parse_matrix(text, times)
+        assert str(caught.value) == str(exc)
+        return False
+    ids, matrix, _ = brute_force_dedupe([f"p{i}" for i in range(n)], full)
+    bundle = parse_matrix(text, times)
+    assert bundle.space.point_ids == ids
+    assert np.array_equal(bundle.space.dist, matrix)
+    return True
 
 
 MATRIX_CELLS = st.one_of(
@@ -363,22 +368,68 @@ MATRIX_CELLS = st.one_of(
     )
 )
 def test_parse_matrix_reports_the_first_bad_cell(rows):
-    text = "".join(" ".join(cells) + "\n" for cells in rows)
-    times = "0\n" * (len(rows) + 1)
-    message = first_bad_cell(rows)
-    if message is not None:
-        with pytest.raises(InputError) as caught:
-            parse_matrix(text, times)
-        assert str(caught.value) == message
-        return
-    n = len(rows) + 1
-    full = np.zeros((n, n), dtype=np.int64)
-    for k, cells in enumerate(rows, start=1):
-        full[k, :k] = full[:k, k] = [int(cell) for cell in cells]
-    ids, matrix, _ = brute_force_dedupe([f"p{i}" for i in range(n)], full)
-    bundle = parse_matrix(text, times)
-    assert bundle.space.point_ids == ids
-    assert np.array_equal(bundle.space.dist, matrix)
+    reads_like_the_reference("".join(" ".join(cells) + "\n" for cells in rows), len(rows) + 1)
+
+
+# Matrix cells: digits with leading zeros, widths around the byte reader's
+# 18-digit limit and around 256 (a width kept in 8 bits would wrap to 0 or 1),
+# and now and then a cell that only ``int`` reads or none does
+DIGIT_CELLS = st.one_of(
+    st.integers(0, 999).map(str),
+    st.integers(0, 99).map(lambda v: f"00{v}"),
+    st.sampled_from(
+        ["9" * 18, "0" * 17 + "5", str(10**18), str(INT64_MAX), str(INT64_MAX + 1)]
+        + ["0" * 19 + "7", "1" * 20, "1" * 256, "9" * 257, "0" * 256 + "3"]
+    ),
+)
+INT_ONLY_CELLS = st.sampled_from(["+1", "1_0", "\u0663", "-1", "x"])
+SPACES = st.sampled_from([" ", "\t", "  ", " \t "])
+
+
+@st.composite
+def lower_triangle_files(draw):
+    """A lower-triangle text and its point count n.  It may hold one line with
+    a cell too many or too few, one line too many or too few, blank and
+    whitespace-only lines, runs of spaces and tabs, CRLF line ends and no
+    final newline."""
+    n = draw(st.integers(1, 6))
+    size = max(0, n - 1 + draw(st.sampled_from([0, 0, 0, 0, -1, 1])))
+    rows = [[draw(DIGIT_CELLS) for _ in range(k)] for k in range(1, size + 1)]
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            row.append(draw(DIGIT_CELLS))
+        elif len(row) > 1:
+            row.pop()
+    if rows and draw(st.integers(0, 3)) == 0:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(INT_ONLY_CELLS)
+    lines = []
+    for cells in rows:
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", " \t "]), max_size=2))
+        line = draw(st.sampled_from(["", " ", "\t"]))
+        for cell in cells:
+            line += cell + draw(SPACES)
+        lines.append(line.rstrip(" \t") if draw(st.booleans()) else line)
+    end = draw(st.sampled_from(["\n", "\n", "\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return text, n
+
+
+@settings(max_examples=400, deadline=None)
+@given(lower_triangle_files(), st.sampled_from([1, 2, 7, 1 << 20]))
+def test_parse_matrix_reads_what_the_reference_reader_reads(case, block):
+    """The same matrix as one ``int`` per cell, or the same InputError text;
+    a file of digits, spaces, tabs and newlines with no cell wider than 18
+    digits is read from its bytes alone, in blocks of any size."""
+    text, n = case
+    with mock.patch.object(snvrips.io, "_BLOCK_CHARS", block), mock.patch.object(
+        snvrips.io, "_read_cells", wraps=snvrips.io._read_cells
+    ) as cell_reader:
+        parsed = reads_like_the_reference(text, n)
+    digits_only = set(text) <= set("0123456789 \t\n")
+    byte_readable = digits_only and max(map(len, text.split()), default=0) <= 18
+    assert cell_reader.called == (not parsed or not byte_readable)
 
 
 # Parser input: mostly well-formed files whose cells are sometimes replaced
