@@ -34,18 +34,16 @@ BENCH_DEFAULTS = RandomInstanceSpec(seed=0, n=50, m=12, d_max=4)
 
 
 def parse_cap(text: str | None) -> int | str | None:
-    """A cap is a natural number of scale units, or 'full' for no cap."""
+    """A cap is a natural number of scale units, or 'full' for no cap; the
+    pipelines reject a negative one."""
     if text is None or text == "full":
         return text
     try:
-        value = int(text)
+        return int(text)
     except ValueError:
         raise InputError(
             f"cap must be a natural number or 'full', got {text!r}"
         ) from None
-    if value < 0:
-        raise InputError(f"cap must be >= 0, got {value}")
-    return value
 
 
 class _Parser(argparse.ArgumentParser):

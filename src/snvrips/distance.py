@@ -12,6 +12,7 @@ per-step correspondence.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -35,10 +36,21 @@ def check_prime(p: int) -> None:
         raise InputError(f"p must be a prime number, got {p}")
 
 
+def as_natural(value, what: str) -> int:
+    """``value`` as an int >= 0 through ``operator.index``: a numpy integer
+    passes, and a float, a str or a negative raises InputError."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise InputError(f"{what} must be an integer, got {value!r}") from None
+    if value < 0:
+        raise InputError(f"{what} must be non-negative, got {value}")
+    return value
+
+
 def time_offset_base(m: int) -> int:
     """Smallest power of ten strictly greater than the horizon m."""
-    if m < 0:
-        raise InputError(f"time horizon must be non-negative, got {m}")
+    m = as_natural(m, "time horizon")
     base = 1
     while m >= base:
         base *= 10
@@ -50,8 +62,9 @@ class DistanceSpace:
     """A finite set of named points with a natural-valued semimetric.
 
     The matrix must be symmetric with zero diagonal and off-diagonal entries
-    >= 1; zero-distance pairs are expected to have been merged beforehand
-    (see :func:`dedupe_zero_distance`).
+    >= 1, stored as int64; another dtype is cast only where the cast changes
+    no value.  Zero-distance pairs are expected to have been merged
+    beforehand (see :func:`dedupe_zero_distance`).
     """
 
     point_ids: tuple[str, ...]
@@ -60,7 +73,16 @@ class DistanceSpace:
     def __post_init__(self) -> None:
         ids = tuple(self.point_ids)
         object.__setattr__(self, "point_ids", ids)
-        d = np.asarray(self.dist, dtype=np.int64)
+        d = np.asarray(self.dist)
+        if d.dtype != np.int64:  # accept only what an int64 cast leaves as it is
+            with np.errstate(invalid="ignore"):
+                try:
+                    cast = d.astype(np.int64)
+                except (TypeError, ValueError, OverflowError):
+                    cast = None
+            if cast is None or d.dtype.kind not in "biufO" or not (cast == d).all():
+                raise InputError("distances must be integers within int64")
+            d = cast
         if d.ndim != 2 or d.shape[0] != d.shape[1]:
             raise InputError(f"distance matrix must be square, got shape {d.shape}")
         if d.shape[0] != len(ids):
@@ -176,8 +198,8 @@ class SequenceSpace(DistanceSpace):
 
     def __init__(self, point_ids: Sequence[str], codes: np.ndarray) -> None:
         ids = tuple(point_ids)
-        if codes.ndim != 2 or len(codes) != len(ids):
-            raise InputError(f"{len(ids)} point ids but codes of shape {codes.shape}")
+        if not isinstance(codes, np.ndarray) or codes.ndim != 2 or len(codes) != len(ids):
+            raise InputError(f"{len(ids)} point ids need a 2-D array with a row of codes each")
         if len(set(ids)) != len(ids):
             raise InputError("point ids must be pairwise distinct")
         object.__setattr__(self, "point_ids", ids)
@@ -233,13 +255,12 @@ class TimeLabels:
     by_id: Mapping[str, int]
 
     def __post_init__(self) -> None:
-        if self.m < 0:
-            raise InputError(f"time horizon must be non-negative, got {self.m}")
+        object.__setattr__(self, "m", as_natural(self.m, "time horizon"))
         if self.m > INT64_MAX:
             raise InputError(f"time horizon {self.m} exceeds int64")
-        by_id = dict(self.by_id)
+        by_id = {pid: as_natural(label, "time label") for pid, label in self.by_id.items()}
         for pid, label in by_id.items():
-            if not 0 <= label <= self.m:
+            if label > self.m:
                 raise InputError(
                     f"time label {label} for point {pid!r} outside {{0, ..., {self.m}}}"
                 )
@@ -285,6 +306,9 @@ class ScaleSchedule:
     """
 
     m: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "m", as_natural(self.m, "time horizon"))
 
     @property
     def base(self) -> int:

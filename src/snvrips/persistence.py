@@ -39,14 +39,14 @@ other primes a dict keyed by rank.
 grows its own echelon of triangle boundaries once over ascending thresholds,
 and reports whether each 1-chain lies outside that span at each threshold.
 
-Every chain is keyed by edge rank, but for ``reduce_with_basis``: the engine's
-output keyed by filtration position, a view kept for the tests and for the
-name the benchmark's tracer patches.
+Every chain is keyed by edge rank, and so is ``reduce_with_basis``: the
+engine's output with the column of every death triangle reduced, a view kept
+for the tests and for the name the benchmark's tracer patches.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -74,21 +74,6 @@ class Bar:
 @dataclass
 class Barcode:
     bars: list[Bar]
-
-
-@dataclass
-class ReductionResult:
-    """Output of the column reduction.
-
-    ``pairing`` maps each dimension-2 column with nonzero reduction to the row
-    index of its lowest entry (the paired edge).  ``cycle_basis`` maps each
-    dimension-1 column whose reduction is zero to a 1-cycle created when that
-    edge enters.  ``reduced`` holds every column's reduced form.
-    """
-
-    pairing: dict[int, int] = field(default_factory=dict)
-    cycle_basis: dict[int, Chain] = field(default_factory=dict)
-    reduced: list[Chain] = field(default_factory=list)
 
 
 def _axpy(dst: Chain, src: Chain, c: int, p: int) -> None:
@@ -195,7 +180,8 @@ def _death_columns(
 
 @dataclass
 class _Reduction:
-    """The engine's output in ranks, columns in the kernel's form."""
+    """The engine's output in ranks, columns in the kernel's form (``Chain``s,
+    and every death column, from ``reduce_with_basis``)."""
 
     pairs: dict[int, int]  # death triangle -> the edge whose class it kills
     deaths: dict[int, Any]  # positive-length death triangle -> reduced column
@@ -288,36 +274,16 @@ def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
     return _Reduction(pairs, deaths, h0_columns, cycles)
 
 
-def reduce_with_basis(cplx: FilteredComplex, p: int) -> ReductionResult:
-    """The engine's output on a complex, keyed by filtration position.
-
-    A view of ``_reduce`` kept for the tests and for the benchmark tracer,
-    which patches this name; no solve calls it.  It maps the engine's ranks
-    to positions through ``cplx.by_dim``.  Every column reads as in the
-    left-to-right algorithm, although the engine pairs by cohomology and
-    reduces only the death triangles and the edges that are not paired; here
-    ``_death_columns`` reduces the column of every death triangle.  A paired
-    edge's cycle_basis entry is its triangle's reduced column: a cycle whose
-    youngest edge is that edge.
-    """
+def reduce_with_basis(cplx: FilteredComplex, p: int) -> _Reduction:
+    """``_reduce`` with every death column reduced, each column a ``Chain``
+    keyed by rank, so each reads as in a left-to-right reduction of its
+    dimension.  Kept for the tests and for the name the benchmark's tracer
+    patches; no solve calls it."""
+    kernel = _kernel(p)
     core = _reduce(cplx, p)
-    deaths = _death_columns(cplx.faces[1], core.pairs, sorted(core.pairs), _kernel(p))
-    chain = _kernel(p).chain
-    edge_pos, tri_pos = (a.tolist() for a in cplx.by_dim[1:])
-
-    def at(col) -> Chain:  # a 1-chain keyed by edge position
-        return {edge_pos[r]: c for r, c in chain(col).items()}
-
-    reduced: list[Chain] = [{} for _ in range(len(cplx))]
-    for e, col in core.h0.items():
-        reduced[edge_pos[e]] = chain(col)  # a vertex's position is its rank
-    for t, col in deaths.items():
-        reduced[tri_pos[t]] = at(col)
-    pairing = {tri_pos[t]: edge_pos[e] for t, e in core.pairs.items()}
-    cycle_basis = {edge_pos[e]: at(v) for e, v in core.cycles.items()}
-    for tri, edge in pairing.items():
-        cycle_basis[edge] = dict(reduced[tri])
-    return ReductionResult(pairing, cycle_basis, reduced)
+    deaths = _death_columns(cplx.faces[1], core.pairs, sorted(core.pairs), kernel)
+    cols = (deaths, core.h0, core.cycles)
+    return _Reduction(core.pairs, *({k: kernel.chain(c) for k, c in d.items()} for d in cols))
 
 
 def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:

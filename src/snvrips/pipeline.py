@@ -24,7 +24,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .distance import DistanceSpace, ScaleSchedule, TimeLabels, check_horizon
+from .distance import DistanceSpace, ScaleSchedule, TimeLabels, as_natural, check_horizon
 
 # deform is no longer read here; it stays importable under this module
 # because perfbench/spans.py traces it by this name.
@@ -168,9 +168,8 @@ def classical_snv(
     and the edge list holds every pair); an explicit cap must be >= 1 or
     the scale-1 births are unobservable.
     """
-    if cap == "full":
-        cap = None
-    elif cap is not None and cap < 1:
+    cap = None if cap in (None, "full") else as_natural(cap, "cap")
+    if cap is not None and cap < 1:
         raise InputError(f"classical cap must be >= 1, got {cap}")
     lab = labels.vector(space.point_ids)
     i, j, h = space.edges(space.diameter_bound() if cap is None else cap)
@@ -228,6 +227,7 @@ def deformed_snv(
     base = check_horizon(space, labels.m)
     lab = labels.vector(space.point_ids)
     schedule = ScaleSchedule(labels.m)
+    cap = cap if cap in (None, "full") else as_natural(cap, "cap")
     if cap is None:
         cap = schedule.kappa(labels.m + 1) - 1
     elif cap != "full" and cap < schedule.kappa(labels.m):

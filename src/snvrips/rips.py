@@ -15,10 +15,10 @@ Each dimension is stored by rank, the order of one stable sort by value:
 edges arrive row-major and triangles lexicographically, so ties keep vertex
 order.  Each edge and triangle lists its faces as ranks, and these arrays
 are the only boundary representation: every reader of a face, the
-reduction included, uses them.  Merged, the ranks give the filtration order
-(value, dimension, vertex tuple), total and face-respecting; the position of
-each simplex in it and the list of ``Simplex`` tuples are lazy views built
-on first access, which no solve reads.
+reduction and ``boundary_matrix`` included, uses them.  Merged, the ranks
+give the filtration order (value, dimension, vertex tuple), total and
+face-respecting; the list of ``Simplex`` tuples in that order is the one
+positional view, built on first access, and no solve reads it.
 """
 
 from __future__ import annotations
@@ -58,11 +58,9 @@ class FilteredComplex:
     the matrix's largest entry the filtration is fully resolved, and open
     bars are genuinely infinite rather than merely open at the cap.
 
-    The filtration order (value, dimension, vertex tuple) merges the ranks:
-    ``by_dim[d][r]`` is the position of the rank-r simplex of dimension d in
-    it, and ``simplices`` the complex as a list of ``Simplex`` tuples in that
-    order.  Both are built on first access and then cached; no solve reads
-    them.
+    ``simplices`` is the complex as a list of ``Simplex`` tuples in the
+    filtration order (value, dimension, vertex tuple), which merges the
+    ranks.  It is built on first access and then cached; no solve reads it.
     """
 
     values: tuple[np.ndarray, np.ndarray]
@@ -70,28 +68,21 @@ class FilteredComplex:
     n_points: int
     faces: tuple[np.ndarray, np.ndarray]
 
-    def __len__(self) -> int:
-        return self.n_points + sum(map(len, self.values))
-
-    @cached_property
-    def by_dim(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # vertices first; an edge after the triangles below it, a triangle after edges <= it
-        n, (edge_value, tri_value) = self.n_points, self.values
-        return (
-            np.arange(n, dtype=np.int64),
-            n + np.arange(edge_value.size) + np.searchsorted(tri_value, edge_value, "left"),
-            n + np.arange(tri_value.size) + np.searchsorted(edge_value, tri_value, "right"),
-        )
-
     @cached_property
     def simplices(self) -> list[Simplex]:
-        edge_faces, tri_faces = self.faces
+        n, (edge_faces, tri_faces), (ev, tv) = self.n_points, self.faces, self.values
         ends = edge_faces[:, ::-1]  # edge (i, j) lists the vertices j, i
         corners = np.column_stack((ends[tri_faces[:, 2]], edge_faces[tri_faces[:, 1], 0]))
-        rows = [[v] for v in range(self.n_points)] + ends.tolist() + corners.tolist()
-        values = [0] * self.n_points + np.concatenate(self.values).tolist()
-        out: list = [None] * len(self)
-        for pos, row, value in zip(np.concatenate(self.by_dim).tolist(), rows, values):
+        rows = [[v] for v in range(n)] + ends.tolist() + corners.tolist()
+        values = [0] * n + ev.tolist() + tv.tolist()
+        # vertices first; an edge after the triangles below it, a triangle after edges <= it
+        positions = [
+            *range(n),
+            *(n + np.arange(ev.size) + np.searchsorted(tv, ev, "left")).tolist(),
+            *(n + np.arange(tv.size) + np.searchsorted(ev, tv, "right")).tolist(),
+        ]
+        out: list = [None] * len(positions)
+        for pos, row, value in zip(positions, rows, values):
             out[pos] = Simplex(tuple(row), value)
         return out
 
@@ -131,19 +122,23 @@ def build_rips(edges: Edges, cap: int) -> FilteredComplex:
     """The clique complex of ``edges`` in dimension <= 2, filtered by value.
 
     Vertices enter at value 0, an edge at its value, a triangle at the max
-    of its three edge values.  The edges must be row-major (``Edges``) with
-    values in [0, cap]; any other list raises ValueError.
+    of its three edge values.  The cap must be an integer and the edges
+    integer arrays in row-major order (``Edges``) with values in [0, cap];
+    any other input raises ValueError.
     """
-    if cap < 0:
-        raise ValueError(f"cap must be non-negative, got {cap}")
-    n, ei, ej, ev = edges
+    if not isinstance(cap, (int, np.integer)) or cap < 0:
+        raise ValueError(f"cap must be a non-negative integer, got {cap!r}")
+    n, *arrays = edges
+    if not all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in arrays):
+        raise ValueError("edge arrays must have an integer dtype")
+    ei, ej, ev = (a.astype(np.int64, copy=False) for a in arrays)
     keys = ei * n + ej
     if ei.size and not (
         0 <= ei.min() and (ei < ej).all() and ej.max() < n
         and (keys[1:] > keys[:-1]).all() and 0 <= ev.min() <= ev.max() <= cap
     ):
         raise ValueError(f"edges must be row-major, i < j < n, values in [0, {cap}]")
-    ij, ik, jk = _triangles(edges, keys)
+    ij, ik, jk = _triangles(Edges(n, ei, ej, ev), keys)
     tv = np.maximum(np.maximum(ev[ij], ev[ik]), ev[jk])
 
     # ranks: a stable sort by value per dimension keeps ties in vertex order;
@@ -160,13 +155,7 @@ def build_rips(edges: Edges, cap: int) -> FilteredComplex:
     return FilteredComplex((ev[edge_at], tv[tri_at]), cap, n, faces)
 
 
-def boundary_matrix(cplx: FilteredComplex, p: int) -> list[dict[int, int]]:
-    """One sparse column per simplex in filtration order, mod p, faces in
-    boundary order."""
-    columns: list[dict[int, int]] = [{} for _ in range(len(cplx))]
-    for d in (1, 2):
-        signs = [1 if k % 2 == 0 else p - 1 for k in range(d + 1)]
-        face_pos = cplx.by_dim[d - 1][cplx.faces[d - 1]].tolist()
-        for pos, faces in zip(cplx.by_dim[d].tolist(), face_pos):
-            columns[pos] = dict(zip(faces, signs))
-    return columns
+def boundary_matrix(cplx: FilteredComplex, p: int) -> tuple[list[dict], list[dict]]:
+    """The edge columns and the triangle columns, each by rank, mod p: rows
+    are face ranks in boundary order, face k with sign (-1)^k."""
+    return tuple([dict(zip(row, (1, p - 1, 1))) for row in f.tolist()] for f in cplx.faces)

@@ -19,7 +19,7 @@ from snvrips import (
     random_instance,
 )
 from snvrips.distance import INT64_MAX
-from snvrips.rips import Simplex
+from snvrips.rips import Simplex, boundary_matrix
 from snvrips.pipeline import SnvBar, SnvReport
 
 
@@ -156,11 +156,9 @@ def suite_instance(seed: int) -> tuple[DistanceSpace, TimeLabels, int]:
 
 class Reference(NamedTuple):
     """A filtered complex in the builder's terms, as the reference computes
-    it: ``values`` and ``faces`` by rank, ``by_dim`` and ``simplices`` in
-    filtration order."""
+    it: ``values`` and ``faces`` by rank, ``simplices`` in filtration order."""
 
     simplices: list[Simplex]
-    by_dim: tuple[np.ndarray, ...]
     values: tuple[np.ndarray, ...]
     faces: tuple[np.ndarray, ...]
 
@@ -181,27 +179,20 @@ def all_triples_rips(dist, cap: int) -> Reference:
         if value <= cap:
             simplices.append(Simplex((i, j, k), value))
     simplices.sort(key=lambda s: (s.value, len(s.vertices), s.vertices))
-    by_dim = tuple(
-        np.array([pos for pos, s in enumerate(simplices) if s.dim == k], dtype=np.int64)
-        for k in range(3)
-    )
-    rank = {simplices[pos].vertices: r for ps in by_dim for r, pos in enumerate(ps)}
+    ranked = [[s for s in simplices if s.dim == k] for k in range(3)]
+    rank = {s.vertices: r for group in ranked for r, s in enumerate(group)}
     faces = tuple(
         np.array(
             [
                 [rank[s.vertices[:drop] + s.vertices[drop + 1 :]] for drop in range(k + 1)]
-                for s in simplices
-                if s.dim == k
+                for s in ranked[k]
             ],
             dtype=np.int64,
         ).reshape(-1, k + 1)
         for k in (1, 2)
     )
-    values = tuple(
-        np.array([simplices[pos].value for pos in by_dim[k]], dtype=np.int64)
-        for k in (1, 2)
-    )
-    return Reference(simplices, by_dim, values, faces)
+    values = tuple(np.array([s.value for s in ranked[k]], dtype=np.int64) for k in (1, 2))
+    return Reference(simplices, values, faces)
 
 
 def brute_force_dedupe(point_ids, dist):
@@ -294,13 +285,6 @@ def rank(cplx: FilteredComplex, vertices: tuple[int, int]) -> int:
     return next(r for r, s in enumerate(edges_of(cplx)) if s.vertices == vertices)
 
 
-def by_rank(cplx: FilteredComplex, chain: dict[int, int]) -> dict[int, int]:
-    """A chain of edges keyed by position, keyed by edge rank instead; an
-    entry that is no edge raises ValueError."""
-    positions = [pos for pos, s in enumerate(cplx.simplices) if s.dim == 1]
-    return {positions.index(pos): coeff for pos, coeff in chain.items()}
-
-
 def chain_of_ids(cplx: FilteredComplex, point_ids, representative) -> dict[int, int]:
     """An id-labelled representative as a chain keyed by edge rank, by scans."""
     index = {pid: i for i, pid in enumerate(point_ids)}
@@ -332,8 +316,9 @@ def chain_boundary(cplx: FilteredComplex, chain: dict[int, int], p: int) -> dict
 def standard_reduction(columns: list[dict[int, int]], p: int) -> list[dict[int, int]]:
     """Reference reduction over F_p: every column, left to right, is reduced
     against the earlier column owning its lowest row until that row is free
-    or the column is zero.  Columns and rows are positions; there is no
-    clearing, no cohomology and no apparent pair."""
+    or the column is zero.  Columns and rows are indices in filtration order,
+    such as positions or the ranks of one dimension; there is no clearing,
+    no cohomology and no apparent pair."""
     reduced: list[dict[int, int]] = []
     owner: dict[int, int] = {}  # lowest row -> column
     for j, column in enumerate(columns):
@@ -351,3 +336,19 @@ def standard_reduction(columns: list[dict[int, int]], p: int) -> list[dict[int, 
                     del col[row]
         reduced.append(col)
     return reduced
+
+
+def standard_view(cplx: FilteredComplex, p: int):
+    """What ``reduce_with_basis`` must return, from ``standard_reduction`` of
+    each dimension's columns in rank order: (pairs, death columns, H_0
+    columns, the set of essential edges).
+
+    This is the reduction of the whole complex in filtration order, split in
+    two: a column's rows lie one dimension below it, so columns of different
+    dimensions never share a low, and within a dimension filtration order is
+    rank order."""
+    edges, triangles = (standard_reduction(cols, p) for cols in boundary_matrix(cplx, p))
+    deaths = {t: col for t, col in enumerate(triangles) if col}
+    pairs = {t: max(col) for t, col in deaths.items()}
+    h0 = {e: col for e, col in enumerate(edges) if col}
+    return pairs, deaths, h0, set(range(len(edges))) - h0.keys() - set(pairs.values())

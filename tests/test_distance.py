@@ -6,8 +6,10 @@ import snvrips.distance
 from snvrips import (
     DistanceSpace,
     InputError,
+    SequenceSpace,
     TimeLabels,
     build_space_from_sequences,
+    classical_snv,
     dedupe_zero_distance,
     deform,
     parse_sequences,
@@ -267,3 +269,58 @@ def test_a_duplicate_id_is_the_first_one_seen_before():
         with pytest.raises(InputError) as caught:
             build_space_from_sequences(records)
         assert str(caught.value) == f"duplicate sequence id {dup!r}"
+
+
+def test_distance_space_rejects_a_fractional_distance():
+    with pytest.raises(InputError, match="integers within int64"):
+        DistanceSpace(("a", "b"), np.array([[0, 1.5], [1.5, 0]]))
+    for bad in (np.nan, np.inf, 2.0**63):
+        with pytest.raises(InputError, match="integers within int64"):
+            DistanceSpace(("a", "b"), np.array([[0, bad], [bad, 0]]))
+    # a cast that changes nothing is accepted, from any numeric dtype
+    for dtype in (float, np.int32, np.uint8, np.uint64, object):
+        space = DistanceSpace(("a", "b"), np.array([[0, 2], [2, 0]], dtype=dtype))
+        assert space.dist.dtype == np.int64 and space.dist.tolist() == [[0, 2], [2, 0]]
+
+
+def test_distance_space_rejects_a_distance_beyond_int64():
+    for dist in ([[0, 2**70], [2**70, 0]], np.array([[0, 2**63], [2**63, 0]], dtype=np.uint64)):
+        with pytest.raises(InputError, match="integers within int64"):
+            DistanceSpace(("a", "b"), dist)
+    with pytest.raises(InputError, match="integers within int64"):
+        DistanceSpace(("a", "b"), np.array([["0", "1"], ["1", "0"]]))
+
+
+def test_time_labels_reject_a_fractional_label():
+    with pytest.raises(InputError, match="time label must be an integer, got 1.5"):
+        TimeLabels(2, {"a": 0, "b": 1.5, "c": 0})
+    with pytest.raises(InputError, match="time label must be non-negative"):
+        TimeLabels(2, {"a": -1})
+    # numpy integers pass, as ints
+    labels = TimeLabels(np.int64(2), {"a": np.int64(1), "b": np.uint8(2)})
+    assert labels.m == 2 and type(labels.m) is int and labels.by_id == {"a": 1, "b": 2}
+    assert labels.vector(("b", "a")).tolist() == [2, 1]
+
+
+def test_time_labels_reject_a_fractional_horizon():
+    with pytest.raises(InputError, match="time horizon must be an integer, got 2.5"):
+        classical_snv(square_space(), TimeLabels(2.5, {"a": 0, "b": 0, "c": 0, "d": 0}))
+    with pytest.raises(InputError, match="time horizon must be an integer"):
+        TimeLabels("2", {"a": 0})
+
+
+def test_scale_schedule_rejects_a_negative_or_fractional_horizon():
+    with pytest.raises(InputError, match="time horizon must be non-negative, got -1"):
+        ScaleSchedule(-1).kappa(0)
+    with pytest.raises(InputError, match="time horizon must be an integer, got 2.5"):
+        ScaleSchedule(2.5).kappa(3)
+    assert ScaleSchedule(np.int64(2)).kappa(3) == ScaleSchedule(2).kappa(3) == 20
+
+
+def test_sequence_space_needs_an_array_of_codes():
+    with pytest.raises(InputError, match="2-D array"):
+        SequenceSpace(("a", "b"), [[65, 67], [65, 71]])
+    with pytest.raises(InputError, match="2-D array"):
+        SequenceSpace(("a", "b"), np.array([65, 67]))
+    space = SequenceSpace(("a", "b"), np.array([[65, 67], [65, 71]], dtype=np.uint8))
+    assert space.dist.tolist() == [[0, 1], [1, 0]]

@@ -13,18 +13,16 @@ from snvrips import (
 )
 from snvrips.oracle import RandomInstanceSpec, random_instance
 from snvrips.persistence import Chain, _reduce, reduce_with_basis
-from snvrips.rips import Edges, boundary_matrix, build_rips
+from snvrips.rips import Edges, build_rips
 
 from helpers import (
-    by_rank,
     chain_boundary,
     count_alive,
     edges_of,
     matrix_rips,
-    position,
     rank,
     square_space,
-    standard_reduction,
+    standard_view,
     suite_instance,
     unit_triangle,
 )
@@ -41,18 +39,18 @@ def bar_multiset(barcode):
 def test_single_edge_is_unpaired_and_creates_nothing():
     cplx = matrix_rips(np.array([[0, 2], [2, 0]]), cap=2)
     result = reduce_with_basis(cplx, 2)
-    assert result.pairing == {}
-    assert result.cycle_basis == {}
+    assert result.pairs == {} and result.deaths == {}
+    assert result.cycles == {}
     assert barcode_h1(cplx, 2).bars == []
 
 
 def test_triangle_reduction_by_hand():
-    # positions: 0-2 vertices, 3-5 edges, 6 triangle; all simplices at value 1
+    # edge ranks 0-2, triangle rank 0; all simplices at value 1
     cplx = matrix_rips(unit_triangle().dist, cap=1)
     result = reduce_with_basis(cplx, 2)
-    assert result.pairing == {6: 5}  # the triangle kills the cycle its last edge made
-    assert set(result.cycle_basis) == {5}
-    assert result.cycle_basis[5] == {3: 1, 4: 1, 5: 1}
+    assert result.pairs == {0: 2}  # the triangle kills the cycle its last edge made
+    assert result.cycles == {}  # no edge is essential
+    assert result.deaths == {0: {0: 1, 1: 1, 2: 1}}
     # equal birth and death: the bar is dropped
     assert barcode_h1(cplx, 2).bars == []
 
@@ -123,11 +121,13 @@ def test_cycle_basis_chains_are_cycles_keyed_by_their_youngest_edge():
         ):
             cplx = matrix_rips(matrix, cap=cap)
             result = reduce_with_basis(cplx, p)
-            # every cleared edge (paired with a triangle) has a cycle too
-            assert set(result.pairing.values()) <= set(result.cycle_basis)
-            for edge, chain in result.cycle_basis.items():
-                assert max(chain) == edge  # positions follow filtration order
-                assert chain_boundary(cplx, by_rank(cplx, chain), p) == {}
+            # every cleared edge (paired with a triangle) has a cycle too: the
+            # triangle's reduced column
+            assert result.deaths.keys() == result.pairs.keys()
+            cycles = {result.pairs[t]: col for t, col in result.deaths.items()}
+            for edge, chain in (cycles | result.cycles).items():
+                assert max(chain) == edge  # ranks follow filtration order
+                assert chain_boundary(cplx, chain, p) == {}
 
 
 def test_representatives_are_cycles_born_at_their_birth():
@@ -216,14 +216,14 @@ def test_nonzero_sweep_needs_one_start_per_chain():
 def test_mod_3_coefficients():
     cplx = matrix_rips(unit_triangle().dist, cap=1)
     result = reduce_with_basis(cplx, 3)
-    assert result.pairing == {6: 5}
-    chain = result.cycle_basis[5]
-    assert chain_boundary(cplx, by_rank(cplx, chain), 3) == {}
+    assert result.pairs == {0: 2}
+    chain = result.deaths[0]
+    assert chain_boundary(cplx, chain, 3) == {}
     assert set(chain.values()) <= {1, 2}
 
 
 def test_signs_over_f3():
-    # square sides (0,1), (0,3), (1,2), (2,3) at ranks 0-3 (positions 4-7):
+    # square sides (0,1), (0,3), (1,2), (2,3) at edge ranks 0-3:
     # over F_3 the side (0,3) runs against the others, so it carries -1 = 2
     cycle = {0: 1, 1: 2, 2: 1, 3: 1}
     for cap in (1, 2):
@@ -234,22 +234,22 @@ def test_signs_over_f3():
     # scaled by 2
     cplx = matrix_rips(square_space().dist, cap=2)
     result = reduce_with_basis(cplx, 3)
-    assert result.pairing == {10: 8, 11: 9, 12: 7}
-    assert result.reduced[12] == {4: 1, 5: 2, 6: 1, 7: 1}
-    assert result.reduced[10] == {6: 1, 8: 2, 4: 1}  # (1,2) - (0,2) + (0,1)
+    assert result.pairs == {0: 4, 1: 5, 2: 3}
+    assert result.deaths[2] == {0: 1, 1: 2, 2: 1, 3: 1}
+    assert result.deaths[0] == {2: 1, 4: 2, 0: 1}  # (1,2) - (0,2) + (0,1)
 
 
 def run_both(cplx, p):
-    return reduce_with_basis(cplx, p), standard_reduction(boundary_matrix(cplx, p), p)
+    return reduce_with_basis(cplx, p), standard_view(cplx, p)
 
 
 def test_empty_complex():
     for n in (0, 1):
         cplx = matrix_rips(np.zeros((n, n), dtype=np.int64), cap=0)
         for p in (2, 3):
-            result = reduce_with_basis(cplx, p)
-            assert (result.pairing, result.cycle_basis) == ({}, {})
-            assert result.reduced == [{}] * n
+            result, view = run_both(cplx, p)
+            assert (result.pairs, result.deaths, result.h0, result.cycles) == ({},) * 4
+            assert view == ({}, {}, {}, set())
             assert barcode_h1(cplx, p).bars == []
 
 
@@ -261,36 +261,37 @@ def test_edges_without_triangles_are_all_essential():
     for i, j in grid:
         d[i, j] = d[j, i] = 1
     cplx = matrix_rips(d, cap=1)
-    closing = {position(cplx, (3, 4)), position(cplx, (4, 5))}
+    closing = {rank(cplx, (3, 4)), rank(cplx, (4, 5))}
     for p in (2, 3):
-        result, reduced = run_both(cplx, p)
-        assert result.pairing == {}
-        assert set(result.cycle_basis) == closing
-        for edge, chain in result.cycle_basis.items():
+        result, (pairs, deaths, h0, essential) = run_both(cplx, p)
+        assert result.pairs == pairs == {}
+        assert set(result.cycles) == essential == closing
+        for edge, chain in result.cycles.items():
             assert max(chain) == edge
-            assert chain_boundary(cplx, by_rank(cplx, chain), p) == {}
+            assert chain_boundary(cplx, chain, p) == {}
         # the five spanning-tree edges keep their reduced columns
-        assert result.reduced == reduced
-        assert sum(1 for col in result.reduced if col) == 5
+        assert (result.deaths, result.h0) == (deaths, h0)
+        assert len(result.h0) == 5
         bars = barcode_h1(cplx, p).bars
         assert [(b.birth_value, b.death_value) for b in bars] == [(1, None)] * 2
 
 
 def test_coboundary_that_needs_an_addition():
     # edges (0,3), (2,3) enter at 1, (0,1), (1,2) at 2 and (0,2), (1,3) at 3
-    # (positions 4-9); all four triangles at 3 (positions 10-13).  The class
-    # born at (1,2) has (0,1,2) as its oldest coface, which the younger edge
-    # (0,2) already took as an apparent pair; so its coboundary takes an
+    # (edge ranks 0-5); all four triangles at 3 (triangle ranks 0-3).  The
+    # class born at (1,2) has (0,1,2) as its oldest coface, which the younger
+    # edge (0,2) already took as an apparent pair; so its coboundary takes an
     # addition, and it pairs with (0,2,3) instead.
     d = np.array([[0, 2, 3, 1], [2, 0, 2, 3], [3, 2, 0, 1], [1, 3, 1, 0]])
     cplx = matrix_rips(d, cap=3)
-    named = {pos: cplx.simplices[pos].vertices for pos in (7, 8, 10, 12)}
-    assert named == {7: (1, 2), 8: (0, 2), 10: (0, 1, 2), 12: (0, 2, 3)}
+    triangles = [s.vertices for s in cplx.simplices if s.dim == 2]
+    assert (rank(cplx, (1, 2)), rank(cplx, (0, 2))) == (3, 4)
+    assert (triangles[0], triangles[2]) == ((0, 1, 2), (0, 2, 3))
     for p in (2, 3):
-        result, reduced = run_both(cplx, p)
-        assert result.pairing == {10: 8, 11: 9, 12: 7}
-        assert result.reduced == reduced
-        assert chain_boundary(cplx, by_rank(cplx, result.reduced[12]), p) == {}
+        result, (pairs, deaths, h0, essential) = run_both(cplx, p)
+        assert result.pairs == pairs == {0: 4, 1: 5, 2: 3}
+        assert (result.deaths, result.h0) == (deaths, h0)
+        assert chain_boundary(cplx, result.deaths[2], p) == {}
         bars = barcode_h1(cplx, p).bars
         assert [(b.birth_value, b.death_value) for b in bars] == [(2, 3)]
 

@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import snvrips.persistence
 import snvrips.pipeline
 from snvrips import (
     DistanceSpace,
@@ -26,7 +29,6 @@ from snvrips.pipeline import (
     CLASSICAL_NOTE,
     SnvBar,
 )
-from snvrips.rips import FilteredComplex
 
 from helpers import (
     apex_square,
@@ -369,20 +371,26 @@ def test_stability_is_clean_on_merged_matrix_input():
 
 
 def test_solves_never_build_the_simplex_list(monkeypatch):
-    # nor the positions of by_dim, nor ask a complex its length
-    built, measured = [], []
-    length = FilteredComplex.__len__
+    # nor call the views kept for the tests and the tracer, through any module
+    built, called = [], []
 
     def recording_build(*args, **kwargs):
         built.append(build_rips(*args, **kwargs))
         return built[-1]
 
-    def recording_len(cplx):
-        measured.append(cplx)
-        return length(cplx)
+    def recording(name, view):
+        def record(*args, **kwargs):
+            called.append(name)
+            return view(*args, **kwargs)
+
+        return record
 
     monkeypatch.setattr(snvrips.pipeline, "build_rips", recording_build)
-    monkeypatch.setattr(FilteredComplex, "__len__", recording_len)
+    package = [m for key, m in sys.modules.items() if key.split(".")[0] == "snvrips"]
+    for name in ("reduce_with_basis", "boundary_matrix"):
+        for module in package:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     space, labels = random_instance(RandomInstanceSpec(seed=4, n=30, m=5, d_max=2))
     for p in (2, 3):
         deformed = deformed_snv(space, labels, p)
@@ -391,14 +399,14 @@ def test_solves_never_build_the_simplex_list(monkeypatch):
             assert verify_correspondence(classical_snv(space, labels, p, cap), deformed).ok
         assert any(bar.death_step is not None for bar in deformed.bars)
     assert len(built) > 2
-    views = ("by_dim", "simplices")
-    assert all(view not in cplx.__dict__ for cplx in built for view in views)
-    assert measured == []
-    # the checks can fail: each view is cached once something reads it, and
-    # the simplex list asks the length
-    assert len(built[0].by_dim[1]) and "by_dim" in built[0].__dict__
-    assert built[1].simplices and all(view in built[1].__dict__ for view in views)
-    assert measured == [built[1]]
+    assert all("simplices" not in cplx.__dict__ for cplx in built)
+    assert called == []
+    # the checks can fail: the simplex list is cached once something reads
+    # it, and a call of either view is recorded
+    assert built[1].simplices and "simplices" in built[1].__dict__
+    snvrips.persistence.reduce_with_basis(built[0], 3)
+    snvrips.persistence.boundary_matrix(built[0], 3)
+    assert called == ["reduce_with_basis", "boundary_matrix"]
 
 
 def test_benchmark_smoke():
@@ -412,3 +420,25 @@ def test_benchmark_smoke():
     assert result.correspondence_clean
     with pytest.raises(InputError, match="repetitions"):
         benchmark(space, labels, p, repetitions=0)
+
+
+def test_a_fractional_classical_cap_is_rejected_not_rounded():
+    # diagonals 2049 and 2048: the square dies at 2048, when (1,3) enters
+    d = np.array([[0, 1, 2049, 1], [1, 0, 1, 2048], [2049, 1, 0, 1], [1, 2048, 1, 0]])
+    space = DistanceSpace(("a", "b", "c", "d"), d)
+    for cap in (2050, np.int64(2050), None):
+        report = classical_snv(space, square_labels(), 2, cap)
+        assert [(b.birth_value, b.death_value) for b in report.bars] == [(1, 2048)]
+    with pytest.raises(InputError, match="cap must be an integer, got 2050.5"):
+        classical_snv(space, square_labels(), 2, 2050.5)
+
+
+def test_caps_must_be_integers():
+    space, labels = square_space(), square_labels(2)
+    with pytest.raises(InputError, match="cap must be an integer, got '2'"):
+        classical_snv(space, labels, 2, "2")
+    with pytest.raises(InputError, match="cap must be an integer, got 25.5"):
+        deformed_snv(space, labels, 2, 25.5)
+    with pytest.raises(InputError, match="cap must be non-negative"):
+        deformed_snv(space, labels, 2, -1)
+    assert deformed_snv(space, labels, 2, np.int64(25)).cap == 25

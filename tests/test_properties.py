@@ -49,12 +49,11 @@ from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
 from snvrips.persistence import reduce_with_basis
 from snvrips.pipeline import SnvBar, alive_counts
-from snvrips.rips import Edges, Simplex, boundary_matrix, build_rips
+from snvrips.rips import Edges, Simplex, build_rips
 
 from helpers import (
     all_triples_rips,
     brute_force_dedupe,
-    by_rank,
     chain_boundary,
     classical_step,
     count_alive,
@@ -63,7 +62,7 @@ from helpers import (
     ids_of_chain,
     matrix_rips,
     read_lower_triangle,
-    standard_reduction,
+    standard_view,
 )
 
 
@@ -86,8 +85,8 @@ def test_clique_builder_matches_all_triples_reference(d, cap):
     for c in (cap, 0, below_all, diameter):
         built, reference = matrix_rips(d, c), all_triples_rips(d, c)
         for got, want in zip(
-            built.by_dim + built.values + built.faces,
-            reference.by_dim + reference.values + reference.faces,
+            built.values + built.faces,
+            reference.values + reference.faces,
         ):
             assert got.dtype == want.dtype == np.int64
             assert np.array_equal(got, want)
@@ -140,22 +139,18 @@ def test_engine_matches_standard_reduction(d, p):
     below_all = int(d[d > 0].min()) - 1 if diameter else 0
     for cap in (0, below_all, (below_all + diameter) // 2, diameter):
         cplx = matrix_rips(d, cap)
-        dims = [s.dim for s in cplx.simplices]
         result = reduce_with_basis(cplx, p)
-        reduced = standard_reduction(boundary_matrix(cplx, p), p)
+        pairs, deaths, h0, essential = standard_view(cplx, p)
 
-        pairing = {j: max(col) for j, col in enumerate(reduced) if dims[j] == 2 and col}
-        assert result.pairing == pairing
-        # a column that is no death triangle and no H_0 death reduces to zero
-        assert result.reduced == reduced
-        unpaired = {
-            j for j, col in enumerate(reduced) if dims[j] == 1 and not col
-        } - set(pairing.values())
-        assert set(result.cycle_basis) - set(pairing.values()) == unpaired
-        for edge in unpaired:
-            chain = result.cycle_basis[edge]
+        assert result.pairs == pairs
+        # each dimension's columns as the standard reduction leaves them: a
+        # column that is no death triangle and no H_0 death reduces to zero
+        assert result.deaths == deaths
+        assert result.h0 == h0
+        assert set(result.cycles) == essential
+        for edge, chain in result.cycles.items():
             assert max(chain) == edge
-            assert chain_boundary(cplx, by_rank(cplx, chain), p) == {}
+            assert chain_boundary(cplx, chain, p) == {}
 
 
 @st.composite

@@ -25,10 +25,9 @@ def test_unit_triangle_complex():
     ]
     assert [s.value for s in cplx.simplices] == [0, 0, 0, 1, 1, 1, 1]
     # the list is a view of the arrays: each dimension's values and faces by
-    # rank, merged by the positions of by_dim
+    # rank, merged in filtration order
     assert [a.tolist() for a in cplx.values] == [[1, 1, 1], [1]]
     assert [a.tolist() for a in cplx.faces] == [[[1, 0], [2, 0], [2, 1]], [[2, 1, 0]]]
-    assert [a.tolist() for a in cplx.by_dim] == [[0, 1, 2], [3, 4, 5], [6]]
     assert position(cplx, (0, 2)) == 4
 
 
@@ -76,7 +75,7 @@ def test_lower_cap_complex_is_prefix_of_higher():
         full = matrix_rips(space.dist, cap=space.diameter())
         for cap in range(space.diameter()):
             part = matrix_rips(space.dist, cap=cap)
-            assert part.simplices == full.simplices[: len(part)]
+            assert part.simplices == full.simplices[: len(part.simplices)]
 
 
 def test_build_rips_rejects_bad_input():
@@ -98,7 +97,7 @@ def test_build_rips_rejects_edges_it_would_build_wrongly():
     triangle = build_rips(edge_list(3, [0, 0, 1], [1, 2, 2], [1, 1, 1]), 1)
     assert len(triangle.faces[1]) == 1
     # the empty graph is row-major: n isolated vertices
-    assert len(build_rips(edge_list(3, [], [], []), 0)) == 3
+    assert len(build_rips(edge_list(3, [], [], []), 0).simplices) == 3
     bad = [
         (3, [1, 0, 0], [2, 1, 2], [1, 1, 1]),  # out of row-major order
         (3, [0, 0, 2], [1, 2, 1], [1, 1, 1]),  # i > j, keys still ascending
@@ -115,31 +114,30 @@ def test_build_rips_rejects_edges_it_would_build_wrongly():
 
 
 def test_boundary_of_edge_and_triangle():
-    # positions: 0-2 vertices, 3-5 edges (0,1), (0,2), (1,2), 6 the triangle;
-    # face k drops vertex k and has sign (-1)^k, listed in that order
+    # edge ranks 0-2 are (0,1), (0,2), (1,2), triangle rank 0 is (0,1,2); rows
+    # are face ranks, face k drops vertex k and has sign (-1)^k, in that order
     cplx = matrix_rips(unit_triangle().dist, cap=1)
     for p in (2, 3):
-        assert [list(col.items()) for col in boundary_matrix(cplx, p)] == [
-            [], [], [],
+        edges, triangles = boundary_matrix(cplx, p)
+        assert [list(col.items()) for col in edges] == [
             [(1, 1), (0, p - 1)],
             [(2, 1), (0, p - 1)],
             [(2, 1), (1, p - 1)],
-            [(5, 1), (4, p - 1), (3, 1)],
         ]
+        assert [list(col.items()) for col in triangles] == [[(2, 1), (1, p - 1), (0, 1)]]
 
 
 def test_boundary_of_boundary_is_zero():
     for seed in range(8):
         space, labels, p = suite_instance(seed)
         cplx = matrix_rips(space.dist, cap=space.diameter())
-        cols = boundary_matrix(cplx, p)
-        for pos, s in enumerate(cplx.simplices):
-            if s.dim != 2:
-                continue
+        edges, triangles = boundary_matrix(cplx, p)
+        assert len(triangles) == sum(s.dim == 2 for s in cplx.simplices)
+        for col in triangles:
             acc: dict[int, int] = {}
-            for face_pos, coeff in cols[pos].items():
-                for vert_pos, face_coeff in cols[face_pos].items():
-                    acc[vert_pos] = (acc.get(vert_pos, 0) + coeff * face_coeff) % p
+            for edge, coeff in col.items():
+                for vertex, face_coeff in edges[edge].items():
+                    acc[vertex] = (acc.get(vertex, 0) + coeff * face_coeff) % p
             assert all(v == 0 for v in acc.values())
 
 
@@ -172,3 +170,25 @@ def test_simplex_dim_property():
     assert Simplex((3,), 0).dim == 0
     assert Simplex((1, 2), 4).dim == 1
     assert Simplex((0, 1, 2), 4).dim == 2
+
+
+def test_build_rips_rejects_a_fractional_edge_value():
+    # cast to the cap's narrow type, 1.5, 1.2 and 1.0 would all tie at 1
+    fractional = Edges(3, np.array([0, 0, 1]), np.array([1, 2, 2]), np.array([1.5, 1.2, 1.0]))
+    with pytest.raises(ValueError, match="integer dtype"):
+        build_rips(fractional, 2)
+    with pytest.raises(ValueError, match="integer dtype"):
+        build_rips(Edges(3, [0, 0, 1], [1, 2, 2], [1, 1, 1]), 2)
+    # any integer dtype is read as int64
+    narrow = (np.array(a, dtype=np.uint8) for a in ([0, 0, 1], [1, 2, 2], [2, 1, 1]))
+    cplx = build_rips(Edges(3, *narrow), 2)
+    assert [a.dtype for a in cplx.values + cplx.faces] == [np.int64] * 4
+    assert cplx.values[0].tolist() == [1, 1, 2]
+
+
+def test_build_rips_rejects_a_fractional_cap():
+    triangle = edge_list(3, [0, 0, 1], [1, 2, 2], [1, 1, 1])
+    for cap in (2.5, 2.0, "2"):
+        with pytest.raises(ValueError, match="cap must be a non-negative integer"):
+            build_rips(triangle, cap)
+    assert len(build_rips(triangle, np.int64(1)).faces[1]) == 1
