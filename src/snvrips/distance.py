@@ -36,13 +36,18 @@ def check_prime(p: int) -> None:
         raise InputError(f"p must be a prime number, got {p}")
 
 
-def as_natural(value, what: str) -> int:
-    """``value`` as an int >= 0 through ``operator.index``: a numpy integer
-    passes, and a float, a str or a negative raises InputError."""
+def as_integer(value, what: str) -> int:
+    """``value`` as an int through ``operator.index``: a numpy integer passes,
+    and a float or a str raises InputError."""
     try:
-        value = operator.index(value)
+        return operator.index(value)
     except TypeError:
         raise InputError(f"{what} must be an integer, got {value!r}") from None
+
+
+def as_natural(value, what: str) -> int:
+    """``as_integer``, and a negative raises InputError too."""
+    value = as_integer(value, what)
     if value < 0:
         raise InputError(f"{what} must be non-negative, got {value}")
     return value
@@ -315,6 +320,7 @@ class ScaleSchedule:
         return time_offset_base(self.m)
 
     def kappa(self, i: int) -> int:
+        i = as_integer(i, "schedule index")
         if i < -1:
             raise InputError(f"schedule index must be >= -1, got {i}")
         if i == -1:
@@ -325,8 +331,7 @@ class ScaleSchedule:
     def step_of(self, scaled_value: int) -> int | None:
         """Time step of a birth or death value in the first block [N, N+m],
         else None: a value N+i belongs to step i."""
-        if scaled_value < 0:
-            raise InputError(f"scaled value must be non-negative, got {scaled_value}")
+        scaled_value = as_natural(scaled_value, "scaled value")
         if self.base <= scaled_value <= self.base + self.m:
             return scaled_value - self.base
         return None

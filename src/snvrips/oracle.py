@@ -11,14 +11,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .distance import INT64_MAX, DistanceSpace, TimeLabels, check_prime
+from .distance import INT64_MAX, DistanceSpace, TimeLabels, as_integer, check_prime
 from .errors import InputError
 
 
 def rank_mod_p(mat: np.ndarray, p: int) -> int:
     """Rank of a dense integer matrix over F_p by int64 row elimination."""
-    if (p - 1) ** 2 > INT64_MAX:
-        raise ValueError(f"(p-1)^2 overflows int64 for p={p}")  # residue products
+    check_prime(p)  # its (p-1)^2 bound keeps the residue products in int64
     a = (np.asarray(mat, dtype=np.int64) % p).copy()
     if a.size == 0:
         return 0
@@ -114,22 +113,25 @@ def random_instance(spec: RandomInstanceSpec) -> tuple[DistanceSpace, TimeLabels
     Distances need not satisfy the triangle inequality, and are never 0 off
     the diagonal, so deduplication never triggers on generated instances.
     """
-    if spec.n < 1:
-        raise InputError(f"need at least one point, got n={spec.n}")
-    if spec.n**2 > INT64_MAX // 8:
-        raise InputError(f"n={spec.n} is too large for an n x n int64 matrix")
-    if not 1 <= spec.d_max <= INT64_MAX:
-        raise InputError(f"d_max must be in 1..{INT64_MAX}, got {spec.d_max}")
-    if not 0 <= spec.m <= INT64_MAX:
-        raise InputError(f"m must be in 0..{INT64_MAX}, got {spec.m}")
-    if spec.seed < 0:
-        raise InputError(f"seed must be >= 0, got {spec.seed}")
-    rng = np.random.default_rng(spec.seed)
-    draw = rng.integers(1, spec.d_max + 1, size=(spec.n, spec.n))
+    seed, n, m, d_max = (
+        as_integer(getattr(spec, name), name) for name in ("seed", "n", "m", "d_max")
+    )
+    if n < 1:
+        raise InputError(f"need at least one point, got n={n}")
+    if n**2 > INT64_MAX // 8:
+        raise InputError(f"n={n} is too large for an n x n int64 matrix")
+    if not 1 <= d_max <= INT64_MAX:
+        raise InputError(f"d_max must be in 1..{INT64_MAX}, got {d_max}")
+    if not 0 <= m <= INT64_MAX:
+        raise InputError(f"m must be in 0..{INT64_MAX}, got {m}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
+    rng = np.random.default_rng(seed)
+    draw = rng.integers(1, d_max + 1, size=(n, n))
     upper = np.triu(draw, 1)
     dist = upper + upper.T
-    label_values = rng.integers(0, spec.m + 1, size=spec.n)
-    ids = tuple(f"p{i}" for i in range(spec.n))
+    label_values = rng.integers(0, m + 1, size=n)
+    ids = tuple(f"p{i}" for i in range(n))
     space = DistanceSpace(ids, dist)
-    labels = TimeLabels(spec.m, {pid: int(v) for pid, v in zip(ids, label_values)})
+    labels = TimeLabels(m, {pid: int(v) for pid, v in zip(ids, label_values)})
     return space, labels

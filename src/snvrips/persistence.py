@@ -25,23 +25,22 @@ matrix is built, as in Ripser.  It runs three passes:
    (the triangle that kills that edge), so each listed column is reduced with
    an explicit stack of owners not yet reduced, and every reduced column is
    the one the full left-to-right reduction makes.  A reduced death column
-   is a cycle whose youngest edge is the birth edge.  The edges that pair
-   with no triangle are reduced with basis tracking (V in R = D*V), and an
-   essential edge's V column is its cycle.
+   is a cycle whose youngest edge is the birth edge.  An essential edge's
+   cycle is its V column (R = D*V) in a left-to-right reduction of the edge
+   boundaries, where only H_0 deaths own pivots: the edge plus a chain on
+   their spanning forest.  A chain on a forest is fixed by its boundary, so
+   ``_forest_cycles`` walks the forest path between the edge's ends and no
+   edge boundary is reduced.
 
 Rows are face ranks, and the cohomology pass numbers its triangle rows
 backwards, so every pass takes a column's highest row as its pivot.  ``p``
 picks only the column kernel, which owns the inner loop: over F_2 a column
 is a Python int bitset (pivot ``bit_length() - 1``, addition by XOR), over
-other primes a dict keyed by rank.
+other primes a dict keyed by rank.  Every chain is keyed by edge rank.
 
 ``nonzero_sweep`` checks the deaths from outside: over the same face ranks it
 grows its own echelon of triangle boundaries once over ascending thresholds,
 and reports whether each 1-chain lies outside that span at each threshold.
-
-Every chain is keyed by edge rank, and so is ``reduce_with_basis``: the
-engine's output with the column of every death triangle reduced, a view kept
-for the tests and for the name the benchmark's tracer patches.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .distance import check_prime, joins
+from .distance import as_integer, check_prime, joins
 from .errors import InputError
 
 # boundary_matrix is no longer read here; it stays importable under this
@@ -76,8 +75,7 @@ class Barcode:
     bars: list[Bar]
 
 
-def _axpy(dst: Chain, src: Chain, c: int, p: int) -> None:
-    # dst -= c * src (mod p)
+def _axpy(dst: Chain, src: Chain, c: int, p: int) -> None:  # dst -= c * src (mod p)
     for row, val in src.items():
         nv = (dst.get(row, 0) - c * val) % p
         if nv:
@@ -93,15 +91,13 @@ def _f2_column(rows: list[int], vals: list[int]) -> int:
     return col
 
 
-def _f2_reduce(col: int, v: int | None, owner_of, p: int):
+def _f2_reduce(col: int, owner_of, p: int) -> int:
     while col:
         owner = owner_of(col.bit_length() - 1)
         if owner is None:
             break
-        col ^= owner[0]
-        if v is not None:
-            v ^= owner[1]
-    return col, v
+        col ^= owner
+    return col
 
 
 def _f2_chain(bits: int) -> Chain:
@@ -114,38 +110,31 @@ def _f2_chain(bits: int) -> Chain:
     return chain
 
 
-def _fp_column(rows: list[int], vals: list[int]) -> Chain:
-    return dict(zip(rows, vals))
-
-
-def _fp_reduce(col: Chain, v: Chain | None, owner_of, p: int):
+def _fp_reduce(col: Chain, owner_of, p: int) -> Chain:
     while col:
         low = max(col)
         owner = owner_of(low)
         if owner is None:
             break
-        c = col[low] * pow(owner[0][low], p - 2, p) % p
-        _axpy(col, owner[0], c, p)
-        if v is not None:
-            _axpy(v, owner[1], c, p)
-    return col, v
+        _axpy(col, owner, col[low] * pow(owner[low], p - 2, p) % p, p)
+    return col
 
 
 class _Kernel(NamedTuple):
-    """The column operations of F_p.  ``reduce`` adds ``owner_of(low)``
-    = (column, V) to the column until its highest row has no owner or it is
-    zero, and returns (column, V); V is tracked when it is given."""
+    """The column operations of F_p.  ``reduce`` adds multiples of the column
+    ``owner_of(low)`` until the column's highest row has no owner or it is
+    zero, and returns it."""
 
     column: Callable  # (rows, coefficients) -> column
     low: Callable  # nonzero column -> its highest row
-    reduce: Callable  # (column, V or None, owner_of, p) -> (column, V)
+    reduce: Callable  # (column, owner_of, p) -> column
     chain: Callable  # column -> Chain, keyed by rank
     p: int = 2
     signs: tuple[int, ...] = (1, 1, 1)  # face k has sign (-1)^k; an edge takes two
 
 
 _F2 = _Kernel(_f2_column, lambda col: col.bit_length() - 1, _f2_reduce, _f2_chain)
-_FP = _Kernel(_fp_column, max, _fp_reduce, dict)
+_FP = _Kernel(lambda rows, vals: dict(zip(rows, vals)), max, _fp_reduce, dict)
 
 
 def _kernel(p: int) -> _Kernel:
@@ -162,16 +151,16 @@ def _death_columns(
     killer = {e: t for t, e in pairs.items()}
     signs = kernel.signs
     deaths: dict[int, Any] = {}
-    pivots: dict[int, tuple] = {}  # killed edge -> (reduced column, None)
+    pivots: dict[int, Any] = {}  # killed edge -> reduced column
     for t in wanted:
         stack = [] if t in deaths else [(t, kernel.column(tri_faces[t].tolist(), signs))]
         while stack:
             s, col = stack.pop()
-            col, _ = kernel.reduce(col, None, pivots.get, kernel.p)
+            col = kernel.reduce(col, pivots.get, kernel.p)
             low = kernel.low(col)
             if low == pairs[s]:
                 deaths[s] = col
-                pivots[low] = (col, None)
+                pivots[low] = col
             else:  # an earlier triangle owns this low: reduce it first
                 u = killer[low]
                 stack += [(s, col), (u, kernel.column(tri_faces[u].tolist(), signs))]
@@ -180,13 +169,12 @@ def _death_columns(
 
 @dataclass
 class _Reduction:
-    """The engine's output in ranks, columns in the kernel's form (``Chain``s,
-    and every death column, from ``reduce_with_basis``)."""
+    """The engine's output in ranks, death columns in the kernel's form
+    (``Chain``s, and every death column, from ``reduce_with_basis``)."""
 
     pairs: dict[int, int]  # death triangle -> the edge whose class it kills
     deaths: dict[int, Any]  # positive-length death triangle -> reduced column
-    h0: dict[int, Any]  # H_0-death edge -> reduced column
-    cycles: dict[int, Any]  # essential edge -> V column, a cycle
+    cycles: dict[int, Chain]  # essential edge -> its forest cycle
 
 
 def _pair_by_cohomology(
@@ -222,10 +210,7 @@ def _pair_by_cohomology(
 
     def owner_of(row: int):
         e = owner.get(row)
-        if e is None:
-            return None
-        col = reduced.get(e)
-        return (coboundary(e) if col is None else col), None
+        return None if e is None else reduced.get(e) or coboundary(e)
 
     essential = []
     for e, row in zip(range(n_edges - 1, -1, -1), reversed(first.tolist())):
@@ -236,7 +221,7 @@ def _pair_by_cohomology(
         elif row not in owner:
             owner[row] = e  # apparent: the pivot is free before any addition
         else:
-            col, _ = kernel.reduce(coboundary(e), None, owner_of, kernel.p)
+            col = kernel.reduce(coboundary(e), owner_of, kernel.p)
             if col:
                 owner[kernel.low(col)] = e
                 reduced[e] = col
@@ -245,11 +230,52 @@ def _pair_by_cohomology(
     return {n_tri - 1 - row: e for row, e in owner.items()}, essential
 
 
+def _forest_cycles(
+    ends: list[list[int]], cleared: list[bool], essential: list[int], n_points: int, p: int
+) -> dict[int, Chain]:
+    """Each essential edge (j, i) -> its cycle: the edge at 1 plus the path
+    from j to i in the forest of the cleared edges, each edge walked from its
+    lower end to its higher end at 1 and the other way at p - 1.  ``ends[e]``
+    lists edge e's vertices higher first, as the builder's faces do."""
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n_points)]
+    for e, ((j, i), dead) in enumerate(zip(ends, cleared)):
+        if dead:
+            neighbours[i].append((j, e))
+            neighbours[j].append((i, e))
+    # root each tree at its lowest vertex: parent, the edge to it, and depth
+    parent, via, depth = [-1] * n_points, [-1] * n_points, [-1] * n_points
+    for root in range(n_points):
+        if depth[root] < 0:
+            depth[root], stack = 0, [root]
+            while stack:
+                u = stack.pop()
+                for w, e in neighbours[u]:
+                    if depth[w] < 0:
+                        parent[w], via[w], depth[w] = u, e, depth[u] + 1
+                        stack.append(w)
+
+    cycles = {}
+    for e in reversed(essential):  # oldest first
+        a, b = ends[e]  # walk up from both ends until they meet
+        cycle = {e: 1}
+        while a != b:
+            if depth[a] >= depth[b]:
+                cycle[via[a]] = 1 if a < parent[a] else p - 1
+                a = parent[a]
+            else:
+                cycle[via[b]] = 1 if parent[b] < b else p - 1
+                b = parent[b]
+        cycles[e] = cycle
+    return cycles
+
+
 def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
-    """Pairs by cohomology, representatives by homology; see the module notes."""
+    """Pairs by cohomology, representatives by homology and by the forest;
+    see the module notes."""
     kernel = _kernel(p)
     edge_faces, tri_faces = cplx.faces
-    cleared = joins(edge_faces.tolist(), cplx.n_points)[0]
+    ends = edge_faces.tolist()
+    cleared = joins(ends, cplx.n_points)[0]
     pairs, essential = _pair_by_cohomology(tri_faces, len(edge_faces), cleared, kernel)
 
     # reduce the death columns of the bars a report prints, and the ones they read
@@ -258,32 +284,17 @@ def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
     edge_value, tri_value = cplx.values
     printed = np.sort(tri[edge_value[edge] < tri_value[tri]]).tolist()
     deaths = _death_columns(tri_faces, pairs, printed, kernel)
-
-    pivots = {}
-    h0_columns, cycles = {}, {}
-    order = sorted(essential + [e for e, dead in enumerate(cleared) if dead])
-    is_essential = set(essential)
-    for e, rows in zip(order, edge_faces[order].tolist()):
-        unit = kernel.column([e], [1])
-        col, v = kernel.reduce(kernel.column(rows, kernel.signs), unit, pivots.get, p)
-        if e in is_essential:
-            cycles[e] = v
-        else:
-            pivots[kernel.low(col)] = (col, v)
-            h0_columns[e] = col
-    return _Reduction(pairs, deaths, h0_columns, cycles)
+    return _Reduction(pairs, deaths, _forest_cycles(ends, cleared, essential, cplx.n_points, p))
 
 
 def reduce_with_basis(cplx: FilteredComplex, p: int) -> _Reduction:
-    """``_reduce`` with every death column reduced, each column a ``Chain``
-    keyed by rank, so each reads as in a left-to-right reduction of its
-    dimension.  Kept for the tests and for the name the benchmark's tracer
-    patches; no solve calls it."""
+    """The pairs, every death column and the essential cycles, as ``Chain``s
+    that read as in a left-to-right reduction of each dimension.  Kept for
+    the tests and for the name the benchmark's tracer patches."""
     kernel = _kernel(p)
     core = _reduce(cplx, p)
     deaths = _death_columns(cplx.faces[1], core.pairs, sorted(core.pairs), kernel)
-    cols = (deaths, core.h0, core.cycles)
-    return _Reduction(core.pairs, *({k: kernel.chain(c) for k, c in d.items()} for d in cols))
+    return _Reduction(core.pairs, {t: kernel.chain(c) for t, c in deaths.items()}, core.cycles)
 
 
 def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
@@ -303,16 +314,11 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
         for tri, col in core.deaths.items()
     ]
     for edge, cycle in core.cycles.items():
-        bars.append(Bar(edge_value[edge], None, chain(cycle)))
+        bars.append(Bar(edge_value[edge], None, cycle))
 
+    # a kept bar dies after its birth, so a death value is never 0
     big = cplx.cap + 1
-    bars.sort(
-        key=lambda b: (
-            b.birth_value,
-            big if b.death_value is None else b.death_value,
-            max(b.representative),
-        )
-    )
+    bars.sort(key=lambda b: (b.birth_value, b.death_value or big, max(b.representative)))
     return Barcode(bars)
 
 
@@ -356,8 +362,9 @@ def nonzero_sweep(
                     f"edge {edge} enters at value {value}, "
                     f"after scale {thresholds[start]}"
                 )
-            if coeff % p:
-                residue[rank] = coeff % p
+            coeff = as_integer(coeff, "chain coefficient") % p
+            if coeff:
+                residue[rank] = coeff
         residues.append(residue)
 
     # faces are read one triangle at a time: the sweep may stop long before the last

@@ -374,6 +374,7 @@ def benchmark(
     and runs the correspondence check once; no performance threshold is
     asserted.
     """
+    repetitions = as_natural(repetitions, "repetitions")
     if repetitions < 1:
         raise InputError(f"repetitions must be >= 1, got {repetitions}")
     classical_times = []

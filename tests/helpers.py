@@ -313,16 +313,28 @@ def chain_boundary(cplx: FilteredComplex, chain: dict[int, int], p: int) -> dict
     return acc
 
 
-def standard_reduction(columns: list[dict[int, int]], p: int) -> list[dict[int, int]]:
-    """Reference reduction over F_p: every column, left to right, is reduced
-    against the earlier column owning its lowest row until that row is free
-    or the column is zero.  Columns and rows are indices in filtration order,
-    such as positions or the ranks of one dimension; there is no clearing,
-    no cohomology and no apparent pair."""
+def subtract(dst: dict[int, int], src: dict[int, int], c: int, p: int) -> None:
+    """dst -= c * src over F_p, in place, dropping the entries that vanish."""
+    for row, val in src.items():
+        dst[row] = (dst.get(row, 0) - c * val) % p
+        if not dst[row]:
+            del dst[row]
+
+
+def standard_reduction(columns: list[dict[int, int]], p: int):
+    """Reference reduction over F_p with basis tracking, R = D*V: every
+    column, left to right, is reduced against the earlier column owning its
+    lowest row until that row is free or the column is zero, and each
+    addition is repeated on its V column, which starts as the unit column.
+    Columns and rows are indices in filtration order, such as positions or
+    the ranks of one dimension; there is no clearing, no cohomology and no
+    apparent pair.  Returns (R, V) as lists of columns."""
     reduced: list[dict[int, int]] = []
+    basis: list[dict[int, int]] = []
     owner: dict[int, int] = {}  # lowest row -> column
     for j, column in enumerate(columns):
         col = {row: c % p for row, c in column.items() if c % p}
+        v = {j: 1}
         while col:
             low = max(col)
             k = owner.get(low)
@@ -330,25 +342,37 @@ def standard_reduction(columns: list[dict[int, int]], p: int) -> list[dict[int, 
                 owner[low] = j
                 break
             c = col[low] * pow(reduced[k][low], p - 2, p) % p
-            for row, val in reduced[k].items():
-                col[row] = (col.get(row, 0) - c * val) % p
-                if not col[row]:
-                    del col[row]
+            subtract(col, reduced[k], c, p)
+            subtract(v, basis[k], c, p)
         reduced.append(col)
-    return reduced
+        basis.append(v)
+    return reduced, basis
 
 
 def standard_view(cplx: FilteredComplex, p: int):
-    """What ``reduce_with_basis`` must return, from ``standard_reduction`` of
-    each dimension's columns in rank order: (pairs, death columns, H_0
-    columns, the set of essential edges).
+    """What ``reduce_with_basis`` must return, and the H_0 deaths, from
+    ``standard_reduction`` of each dimension's columns in rank order:
+    (pairs, death columns, the set of H_0-death edges, each essential edge's
+    V column).
 
     This is the reduction of the whole complex in filtration order, split in
     two: a column's rows lie one dimension below it, so columns of different
     dimensions never share a low, and within a dimension filtration order is
-    rank order."""
-    edges, triangles = (standard_reduction(cols, p) for cols in boundary_matrix(cplx, p))
+    rank order.  An essential edge is one whose column reduces to zero and
+    that no triangle kills; its V column is a cycle born at that edge."""
+    (edges, basis), (triangles, _) = (
+        standard_reduction(cols, p) for cols in boundary_matrix(cplx, p)
+    )
     deaths = {t: col for t, col in enumerate(triangles) if col}
     pairs = {t: max(col) for t, col in deaths.items()}
-    h0 = {e: col for e, col in enumerate(edges) if col}
-    return pairs, deaths, h0, set(range(len(edges))) - h0.keys() - set(pairs.values())
+    h0 = {e for e, col in enumerate(edges) if col}
+    killed = set(pairs.values())
+    cycles = {e: v for e, v in enumerate(basis) if e not in h0 and e not in killed}
+    return pairs, deaths, h0, cycles
+
+
+def h0_edges(cplx: FilteredComplex, result) -> set[int]:
+    """The edges an engine result neither pairs with a triangle nor gives a
+    cycle: its H_0 deaths."""
+    n_edges = len(cplx.faces[0])
+    return set(range(n_edges)) - set(result.pairs.values()) - result.cycles.keys()

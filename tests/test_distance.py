@@ -145,6 +145,20 @@ def test_step_of_inverts_first_block():
         sched.step_of(-3)
 
 
+def test_schedule_index_must_be_an_integer():
+    sched = ScaleSchedule(2)
+    with pytest.raises(InputError, match="schedule index must be an integer, got 1.5"):
+        sched.kappa(1.5)  # was read as 11.5
+    assert sched.kappa(np.int64(1)) == 11
+
+
+def test_scaled_value_must_be_an_integer():
+    sched = ScaleSchedule(2)
+    with pytest.raises(InputError, match="scaled value must be an integer, got 10.5"):
+        sched.step_of(10.5)  # was read as step 0.5
+    assert sched.step_of(np.int64(11)) == 1
+
+
 def test_distance_space_validation():
     with pytest.raises(InputError, match="square"):
         DistanceSpace(("a", "b"), np.zeros((2, 3), dtype=int))

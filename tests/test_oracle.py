@@ -47,7 +47,8 @@ def test_rank_mod_p_exact_at_the_largest_allowed_prime():
 
 
 def test_rank_mod_p_rejects_int64_overflowing_prime():
-    with pytest.raises(ValueError, match="overflows int64"):
+    # the prime rule of the whole package, distance.check_prime
+    with pytest.raises(InputError, match=r"\(p-1\)\^2 < 2\^63, got 4294967311"):
         rank_mod_p(np.eye(2, dtype=int), 4294967311)
 
 
@@ -137,3 +138,8 @@ def test_random_instance_rejects_bad_spec():
         random_instance(RandomInstanceSpec(seed=0, n=3, m=2**63, d_max=2))
     with pytest.raises(InputError, match="seed"):
         random_instance(RandomInstanceSpec(seed=-1, n=3, m=2, d_max=2))
+    # a fraction is bad input, not a TypeError from range or numpy
+    for field in ("seed", "n", "m", "d_max"):
+        spec = RandomInstanceSpec(**{"seed": 0, "n": 3, "m": 2, "d_max": 2, field: 2.5})
+        with pytest.raises(InputError, match=f"{field} must be an integer, got 2.5"):
+            random_instance(spec)

@@ -19,6 +19,7 @@ from helpers import (
     chain_boundary,
     count_alive,
     edges_of,
+    h0_edges,
     matrix_rips,
     rank,
     square_space,
@@ -84,15 +85,20 @@ def test_two_points_empty_barcode():
     assert barcode_h1(cplx, 2).bars == []
 
 
+def fan(n: int, cap: int):
+    """The n-gon 0..n-1 at value 1, fanned from vertex 0 by chords at value 2,
+    built at cap; and the value of every edge of the fan."""
+    value = {(i, i + 1): 1 for i in range(n - 1)} | {(0, n - 1): 1}
+    value |= {(0, i): 2 for i in range(2, n - 1)}
+    i, j = np.array(sorted(e for e, v in value.items() if v <= cap)).T
+    return build_rips(Edges(n, i, j, np.array([value[e] for e in zip(i, j)])), cap), value
+
+
 def test_fan_death_column_reads_a_chain_of_thousands_of_columns():
-    # the n-gon 0..n-1 at value 1, fanned from vertex 0 by chords at value 2:
     # the one bar's death column adds every chord's column, one after another
     n = 3000
     assert n > sys.getrecursionlimit()
-    value = {(i, i + 1): 1 for i in range(n - 1)} | {(0, n - 1): 1}
-    value |= {(0, i): 2 for i in range(2, n - 1)}
-    i, j = np.array(sorted(value)).T
-    cplx = build_rips(Edges(n, i, j, np.array([value[e] for e in zip(i, j)])), 2)
+    cplx, value = fan(n, 2)
     assert len(cplx.faces[1]) == n - 2
     (bar,) = barcode_h1(cplx, 2).bars
     assert (bar.birth_value, bar.death_value) == (1, 2)
@@ -248,8 +254,9 @@ def test_empty_complex():
         cplx = matrix_rips(np.zeros((n, n), dtype=np.int64), cap=0)
         for p in (2, 3):
             result, view = run_both(cplx, p)
-            assert (result.pairs, result.deaths, result.h0, result.cycles) == ({},) * 4
-            assert view == ({}, {}, {}, set())
+            assert (result.pairs, result.deaths, result.cycles) == ({},) * 3
+            assert h0_edges(cplx, result) == set()
+            assert view == ({}, {}, set(), {})
             assert barcode_h1(cplx, p).bars == []
 
 
@@ -262,16 +269,27 @@ def test_edges_without_triangles_are_all_essential():
         d[i, j] = d[j, i] = 1
     cplx = matrix_rips(d, cap=1)
     closing = {rank(cplx, (3, 4)), rank(cplx, (4, 5))}
+    # in rank order the other five edges join components: the spanning tree
+    # 0-1, 0-3, 1-2, 1-4, 2-5, so (3, 4) closes the left square and (4, 5)
+    # the right one
+    squares = {
+        rank(cplx, (3, 4)): {(0, 1), (0, 3), (1, 4), (3, 4)},
+        rank(cplx, (4, 5)): {(1, 2), (1, 4), (2, 5), (4, 5)},
+    }
+    edges = edges_of(cplx)
     for p in (2, 3):
-        result, (pairs, deaths, h0, essential) = run_both(cplx, p)
+        result, (pairs, deaths, h0, cycles) = run_both(cplx, p)
         assert result.pairs == pairs == {}
-        assert set(result.cycles) == essential == closing
+        assert result.deaths == deaths == {}
+        # each cycle is its edge's V column, and the five tree edges are the
+        # H_0 deaths of the standard reduction
+        assert result.cycles == cycles
+        assert set(cycles) == closing
+        assert h0_edges(cplx, result) == h0 == set(range(7)) - closing
         for edge, chain in result.cycles.items():
+            assert {edges[r].vertices for r in chain} == squares[edge]
             assert max(chain) == edge
             assert chain_boundary(cplx, chain, p) == {}
-        # the five spanning-tree edges keep their reduced columns
-        assert (result.deaths, result.h0) == (deaths, h0)
-        assert len(result.h0) == 5
         bars = barcode_h1(cplx, p).bars
         assert [(b.birth_value, b.death_value) for b in bars] == [(1, None)] * 2
 
@@ -288,9 +306,11 @@ def test_coboundary_that_needs_an_addition():
     assert (rank(cplx, (1, 2)), rank(cplx, (0, 2))) == (3, 4)
     assert (triangles[0], triangles[2]) == ((0, 1, 2), (0, 2, 3))
     for p in (2, 3):
-        result, (pairs, deaths, h0, essential) = run_both(cplx, p)
+        result, (pairs, deaths, h0, cycles) = run_both(cplx, p)
         assert result.pairs == pairs == {0: 4, 1: 5, 2: 3}
-        assert (result.deaths, result.h0) == (deaths, h0)
+        assert (result.deaths, result.cycles) == (deaths, cycles) == (deaths, {})
+        # the edges that join the four vertices: (0,3), (2,3), (0,1)
+        assert h0_edges(cplx, result) == h0 == {0, 1, 2}
         assert chain_boundary(cplx, result.deaths[2], p) == {}
         bars = barcode_h1(cplx, p).bars
         assert [(b.birth_value, b.death_value) for b in bars] == [(2, 3)]
@@ -313,3 +333,77 @@ def test_barcode_is_deterministic():
     space, labels, p = suite_instance(4)
     cplx = matrix_rips(space.dist, cap=space.diameter())
     assert barcode_h1(cplx, p).bars == barcode_h1(cplx, p).bars
+
+
+def test_polygon_cycle_walks_thousands_of_forest_edges():
+    # the fan below its chords is the n-gon; in rank order its forest is the
+    # path 1-2-...-(n-2) hung from 0 next to the edge (0, n-1), so the cycle
+    # of the last edge (n-2, n-1) walks n-1 forest edges, most on one side
+    n = 3000
+    cplx, _ = fan(n, 1)
+    assert len(cplx.faces[1]) == 0
+    last = rank(cplx, (n - 2, n - 1))
+    for p in (2, 3):
+        result, (pairs, deaths, h0, cycles) = run_both(cplx, p)
+        assert result.cycles == cycles
+        assert list(cycles) == [last]
+        assert len(cycles[last]) == n
+        # over F_3 the edge (0, n-1) runs against the rest of the rim
+        assert [r for r, c in cycles[last].items() if c != 1] == (
+            [rank(cplx, (0, n - 1))] if p == 3 else []
+        )
+        assert h0_edges(cplx, result) == h0
+        (bar,) = barcode_h1(cplx, p).bars
+        assert (bar.birth_value, bar.death_value) == (1, None)
+        assert bar.representative == cycles[last]
+
+
+def test_forest_of_several_components_gives_each_its_own_cycle():
+    # a square, a pentagon, a 2x3 grid (two squares), a path and a lone
+    # vertex on shuffled vertices, so that their trees interleave in vertex
+    # order; other pairs are 2 apart, and at cap 1 there is no triangle
+    shapes = [
+        [(0, 1), (1, 2), (2, 3), (3, 0)],
+        [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)],
+        [(0, 1), (1, 2), (3, 4), (4, 5), (0, 3), (1, 4), (2, 5)],
+        [(0, 1), (1, 2)],
+        [],
+    ]
+    sizes = [4, 5, 6, 3, 1]
+    n = sum(sizes)
+    label = np.random.default_rng(3).permutation(n).tolist()
+    d = np.full((n, n), 2, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    component = {}
+    offset = 0
+    for k, (size, shape) in enumerate(zip(sizes, shapes)):
+        for v in range(size):
+            component[label[offset + v]] = k
+        for a, b in shape:
+            d[label[offset + a], label[offset + b]] = d[label[offset + b], label[offset + a]] = 1
+        offset += size
+    cplx = matrix_rips(d, cap=1)
+    edges = edges_of(cplx)
+    assert len(cplx.faces[1]) == 0
+    for p in (2, 3):
+        result, (pairs, deaths, h0, cycles) = run_both(cplx, p)
+        assert result.cycles == cycles
+        assert h0_edges(cplx, result) == h0
+        assert len(h0) == n - len(sizes)  # a spanning tree per component
+        # one essential edge in the square and in the pentagon, two in the grid
+        owners = sorted(component[edges[e].vertices[0]] for e in cycles)
+        assert owners == [0, 1, 2, 2]
+        for edge, chain in cycles.items():
+            assert {component[v] for r in chain for v in edges[r].vertices} == {
+                component[edges[edge].vertices[0]]
+            }
+            assert chain_boundary(cplx, chain, p) == {}
+        assert len(barcode_h1(cplx, p).bars) == 4
+
+
+def test_class_check_rejects_a_fractional_coefficient():
+    cplx = matrix_rips(square_space().dist, cap=2)
+    with pytest.raises(InputError, match="chain coefficient must be an integer, got 1.5"):
+        nonzero_at({0: 1.5}, cplx, 1, 3)
+    # an integer of numpy's passes
+    assert not nonzero_at({0: np.int64(3)}, cplx, 1, 3)

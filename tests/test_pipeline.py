@@ -420,6 +420,8 @@ def test_benchmark_smoke():
     assert result.correspondence_clean
     with pytest.raises(InputError, match="repetitions"):
         benchmark(space, labels, p, repetitions=0)
+    with pytest.raises(InputError, match="repetitions must be an integer, got 2.5"):
+        benchmark(space, labels, p, 2.5)
 
 
 def test_a_fractional_classical_cap_is_rejected_not_rounded():

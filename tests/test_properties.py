@@ -58,6 +58,7 @@ from helpers import (
     classical_step,
     count_alive,
     edges_of,
+    h0_edges,
     hamming,
     ids_of_chain,
     matrix_rips,
@@ -140,14 +141,16 @@ def test_engine_matches_standard_reduction(d, p):
     for cap in (0, below_all, (below_all + diameter) // 2, diameter):
         cplx = matrix_rips(d, cap)
         result = reduce_with_basis(cplx, p)
-        pairs, deaths, h0, essential = standard_view(cplx, p)
+        pairs, deaths, h0, cycles = standard_view(cplx, p)
 
         assert result.pairs == pairs
         # each dimension's columns as the standard reduction leaves them: a
         # column that is no death triangle and no H_0 death reduces to zero
         assert result.deaths == deaths
-        assert result.h0 == h0
-        assert set(result.cycles) == essential
+        # the forest walk gives each essential edge its V column, and the
+        # edges left over are the H_0 deaths
+        assert result.cycles == cycles
+        assert h0_edges(cplx, result) == h0
         for edge, chain in result.cycles.items():
             assert max(chain) == edge
             assert chain_boundary(cplx, chain, p) == {}
