@@ -10,10 +10,13 @@ Subcommands:
 Inputs come from sequence files (`--sequences`/`--metadata`), distance
 matrices (`--matrix`/`--times`), or a seeded generator (`--n`/`--m`).
 Reports go to standard output, diagnostics to standard error.  Exit codes:
-0 success, 1 bad input, 2 an agreement or stability check failed.
+0 success, 1 bad input, 2 an agreement or stability check failed.  The
+argument parser is built on the first ``main`` call and reused by every later
+call in the process.
 """
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Sequence
@@ -178,7 +181,10 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process: every ``main`` call reuses it, since
+    parsing leaves no state on it."""
     common = argparse.ArgumentParser(add_help=False)
     src = common.add_argument_group("input")
     src.add_argument("--sequences", help="fasta-like sequence file")

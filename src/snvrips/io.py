@@ -20,13 +20,15 @@ for both formats, and records every merge in the bundle.
 Output: JSON with a stable key order, or a ``step<TAB>count`` summary.  A
 report's JSON keys are "mode" and then its dataclass fields, except for SNV
 reports, whose derived keys need a builder.  Representatives are serialized
-as (vertex-id, vertex-id, coefficient) triples.
+as (vertex-id, vertex-id, coefficient) triples.  The JSON layout is that of
+``json.dumps(doc, indent=2)``, ASCII-escaped; one writer, ``to_json``,
+produces those bytes without the pure-Python encoder that ``indent`` selects.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii as quote
 
 import numpy as np
 
@@ -329,6 +331,80 @@ def _stability_dict(report: StabilityReport) -> dict:
     }
 
 
+_INF = float("inf")
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == _INF:
+        return "Infinity"
+    if x == -_INF:
+        return "-Infinity"
+    return float.__repr__(x)
+
+
+# JSON text of a scalar, by its exact type
+_SCALARS = {
+    str: quote,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _: "null",
+    float: _float,
+}
+# list items per join: a long list holds one string per slice, not per item
+_SLICE = 4096
+
+
+def _json(obj, indent: str) -> str:
+    """``obj`` as ``json.dumps(obj, indent=2)`` writes it, at the depth whose
+    line break and indent is ``indent``."""
+    write = _SCALARS.get(type(obj))
+    if write is not None:
+        return write(obj)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sep.join([f"{quote(k)}: {_json(v, inner)}" for k, v in obj.items()])
+        return f"{{{inner}{items}{indent}}}"
+    if not isinstance(obj, (list, tuple)):
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    if not obj:
+        return "[]"
+    slices = (obj[k : k + _SLICE] for k in range(0, len(obj), _SLICE))
+    items = sep.join(
+        sep.join([w(x) if (w := _SCALARS.get(type(x))) else _item(x, inner) for x in part])
+        for part in slices
+    )
+    return f"[{inner}{items}{indent}]"
+
+
+def _item(x, indent: str) -> str:
+    """A list item that is not a plain scalar; a representative edge
+    (id, id, coefficient) is one f-string."""
+    if (
+        type(x) is tuple
+        and len(x) == 3
+        and type(x[0]) is str
+        and type(x[1]) is str
+        and type(x[2]) is int
+    ):
+        inner = indent + "  "
+        return f"[{inner}{quote(x[0])},{inner}{quote(x[1])},{inner}{x[2]!r}{indent}]"
+    return _json(x, indent)
+
+
+def to_json(doc) -> str:
+    """``json.dumps(doc, indent=2)`` without its pure-Python encoder, for a
+    document of dicts with str keys, lists, tuples, and str, int, float, bool
+    or None values: one f-string per representative edge and one ``join``
+    per slice of a list.  Any other value or key is a TypeError, as are all
+    those ``json.dumps`` rejects, such as numpy scalars."""
+    return _json(doc, "\n")
+
+
 def _snv_lines(report: SnvReport | OracleReport) -> list[str]:
     return [f"{i}\t{c}" for i, c in enumerate(report.per_step_counts)]
 
@@ -378,7 +454,7 @@ def emit_report(report, format: str = "json", stability: StabilityReport | None 
         doc = builders[0](report)
         if stability is not None and isinstance(report, SnvReport):
             doc["stability"] = _stability_dict(stability)
-        return json.dumps(doc, indent=2) + "\n"
+        return to_json(doc) + "\n"
     lines = builders[1](report)
     if stability is not None:
         lines += _stability_lines(stability)

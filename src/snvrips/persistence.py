@@ -307,14 +307,12 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
     check_prime(p)
     core = _reduce(cplx, p)
     chain = _kernel(p).chain
-    edge_value, tri_value = (a.tolist() for a in cplx.values)
-
-    bars = [
-        Bar(edge_value[core.pairs[tri]], tri_value[tri], chain(col))
-        for tri, col in core.deaths.items()
-    ]
-    for edge, cycle in core.cycles.items():
-        bars.append(Bar(edge_value[edge], None, cycle))
+    # read only the kept bars' values, as Python ints
+    edge_value, tri_value = cplx.values
+    deaths = tri_value[list(core.deaths)].tolist()
+    births = edge_value[[core.pairs[t] for t in core.deaths] + list(core.cycles)].tolist()
+    bars = [Bar(b, d, chain(col)) for b, d, col in zip(births, deaths, core.deaths.values())]
+    bars += [Bar(b, None, c) for b, c in zip(births[len(deaths) :], core.cycles.values())]
 
     # a kept bar dies after its birth, so a death value is never 0
     big = cplx.cap + 1
@@ -347,8 +345,10 @@ def nonzero_sweep(
         raise ValueError(f"{len(chains)} chains but {len(starts)} starts")
     if not chains:
         return []
-    thresholds = thresholds.tolist()
     (edge_faces, tri_faces), (edge_value, tri_value) = cplx.faces, cplx.values
+    # triangles are in value order: those below thresholds[i] are a prefix
+    stops = np.searchsorted(tri_value, thresholds, "right").tolist()
+    thresholds = thresholds.tolist()
     residues: list[Chain] = []
     for chain, start in zip(chains, starts):
         residue = {}
@@ -368,18 +368,17 @@ def nonzero_sweep(
         residues.append(residue)
 
     # faces are read one triangle at a time: the sweep may stop long before the last
-    tri_value = tri_value.tolist()
     echelon: dict[int, Chain] = {}  # pivot row -> normalized column
     nonzero = [[False] * len(thresholds) for _ in chains]
-    t = 0
-    for i, v in enumerate(thresholds):
-        while t < len(tri_value) and tri_value[t] <= v:
+    done = 0
+    for i, stop in enumerate(stops):
+        for t in range(done, stop):
             col = dict(zip(tri_faces[t].tolist(), (1, p - 1, 1)))
             low = _free_low(col, echelon, p)
             if low is not None:
                 inv = pow(col[low], p - 2, p)
                 echelon[low] = {r: val * inv % p for r, val in col.items()}
-            t += 1
+        done = stop
         for k, residue in enumerate(residues):
             if i >= starts[k]:
                 nonzero[k][i] = _free_low(residue, echelon, p) is not None

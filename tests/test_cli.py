@@ -74,9 +74,33 @@ def test_compare_passes_the_classical_cap(monkeypatch):
 
     monkeypatch.setattr(cli, "classical_snv", spy)
     args = ["compare", "--n", "8", "--m", "2", "--seed", "3"]
-    for extra in ([], ["--cap", "full"], ["--cap", "3"]):
+    # the last call reuses the parser of the calls with an explicit cap
+    for extra in ([], ["--cap", "full"], ["--cap", "3"], []):
         assert cli.main(args + extra) == 0
-    assert seen == [1, "full", 3]
+    assert seen == [1, "full", 3, 1]
+
+
+def test_the_reused_parser_carries_nothing_from_call_to_call(tmp_path, capsys):
+    matrix, times = write_matrix_files(tmp_path)
+    plain = ["deformed", "--matrix", matrix, "--times", times]
+    cli.build_parser.cache_clear()
+    assert cli.main(plain) == 0
+    first = capsys.readouterr().out  # from a parser no call has used before
+    parser = cli.build_parser()
+
+    assert cli.main(plain + ["--stability"]) == 0
+    assert "stability" in json.loads(capsys.readouterr().out)
+    assert cli.main(plain) == 0
+    out = capsys.readouterr().out
+    assert "stability" not in json.loads(out)
+    assert out == first
+
+    # rejected after --stability was read, and between two good calls
+    assert cli.main(plain + ["--stability", "--prime"]) == 1
+    assert "expected one argument" in capsys.readouterr().err
+    assert cli.main(plain) == 0
+    assert capsys.readouterr().out == first
+    assert cli.build_parser() is parser
 
 
 def test_deformed_stability_tsv_keeps_the_table(capsys):

@@ -1,8 +1,12 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import snvrips.io
 from snvrips import (
     InputError,
     classical_snv,
@@ -13,6 +17,7 @@ from snvrips import (
     stability_report,
     verify_correspondence,
 )
+from snvrips.io import to_json
 
 from helpers import apex_square, square_labels, square_space
 
@@ -267,3 +272,73 @@ def test_parse_then_emit_round_trip_is_stable():
         )
     )
     assert first == second
+
+
+# ASCII, astral and other non-ASCII characters, a lone surrogate, quotes,
+# backslashes and control characters
+_TEXT = st.text(
+    st.one_of(
+        st.characters(),
+        st.characters(min_codepoint=0x10000),
+        st.sampled_from('"\\/\x00\x08\t\n\x1f\x7f\u2028\ud800'),
+    ),
+    max_size=6,
+)
+_INT = st.one_of(st.integers(), st.sampled_from([2**63, -(2**63) - 1, 10**30]))
+_SCALAR = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([True, 1, False, 0]), _INT, st.floats(), _TEXT
+)
+# a representative edge, also with a coefficient that is a bool
+_EDGE = st.tuples(_TEXT, _TEXT, st.one_of(_INT, st.booleans()))
+
+
+def _documents(leaves):
+    base = st.one_of(
+        leaves, _EDGE, st.just([True, 1, 0, False]), st.just([]), st.just({}), st.just(())
+    )
+    return st.recursive(
+        base,
+        lambda inner: st.one_of(
+            st.lists(inner, max_size=4),
+            st.lists(inner, max_size=4).map(tuple),
+            st.dictionaries(_TEXT, inner, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+@given(_documents(_SCALAR))
+def test_writer_matches_json_dumps(doc):
+    expected = json.dumps(doc, indent=2)
+    assert to_json(doc) == expected
+    with mock.patch.object(snvrips.io, "_SLICE", 2):  # lists of several slices
+        assert to_json(doc) == expected
+
+
+@given(_documents(st.one_of(_SCALAR, st.sampled_from([np.int64(3), np.int32(-1)]))))
+def test_writer_rejects_what_json_dumps_rejects(doc):
+    try:
+        expected = json.dumps(doc, indent=2)
+    except TypeError:
+        with pytest.raises(TypeError):
+            to_json(doc)
+    else:
+        assert to_json(doc) == expected
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        np.int64(1),
+        [0, np.int64(1)],
+        {"counts": [1, 2], "m": np.int64(3)},
+        {"bars": [{"representative": [("a", "b", np.int64(1))]}]},
+        {np.int64(1): 0},
+        {"ok": np.bool_(True)},
+    ],
+)
+def test_writer_rejects_a_numpy_scalar_anywhere(doc):
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        to_json(doc)
