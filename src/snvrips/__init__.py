@@ -33,7 +33,9 @@ from .pipeline import (
     SnvReport,
     StabilityReport,
     benchmark,
+    classical_counts,
     classical_snv,
+    correspondence,
     deformed_snv,
     stability_report,
     verify_correspondence,
@@ -64,7 +66,9 @@ __all__ = [
     "betti1_bruteforce",
     "build_rips",
     "build_space_from_sequences",
+    "classical_counts",
     "classical_snv",
+    "correspondence",
     "dedupe_zero_distance",
     "deform",
     "deformed_snv",

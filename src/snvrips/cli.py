@@ -27,11 +27,16 @@ from .io import InputBundle, emit_report, parse_matrix, parse_sequences
 from .oracle import OracleReport, RandomInstanceSpec, random_instance, snv_counts_oracle
 from .pipeline import (
     benchmark,
+    classical_counts,
     classical_snv,
+    correspondence,
     deformed_snv,
     stability_report,
-    verify_correspondence,
 )
+
+# verify_correspondence is no longer read here; it stays importable under
+# this module because perfbench/spans.py traces it by this name.
+from .pipeline import verify_correspondence  # noqa: F401
 
 BENCH_DEFAULTS = RandomInstanceSpec(seed=0, n=50, m=12, d_max=4)
 
@@ -142,13 +147,13 @@ def _cmd_deformed(args: argparse.Namespace) -> int:
 def _cmd_compare(args: argparse.Namespace) -> int:
     bundle = resolve_input(args)
     # The cap applies to the classical side only; the deformed run keeps its
-    # default so the per-step decoding stays intact.  The correspondence reads
-    # only scale-1 births from the classical side, so the default cap is 1.
-    classical = classical_snv(
+    # default so the per-step decoding stays intact.  The verdict reads only
+    # the classical per-step counts of scale-1 births, so the default cap is 1.
+    counts = classical_counts(
         bundle.space, bundle.labels, p=args.prime, cap=parse_cap(args.cap)
     )
     deformed = deformed_snv(bundle.space, bundle.labels, p=args.prime)
-    verdict = verify_correspondence(classical, deformed)
+    verdict = correspondence(counts, deformed)
     sys.stdout.write(emit_report(verdict, args.format))
     if verdict.discrepancies:
         for line in verdict.discrepancies:

@@ -32,6 +32,9 @@ matrix is built, as in Ripser.  It runs three passes:
    ``_forest_cycles`` walks the forest path between the edge's ends and no
    edge boundary is reduced.
 
+``pair_h1`` runs passes 1 and 2 alone, for callers that need only the pairs;
+``barcode_h1`` builds on the same call.
+
 Rows are face ranks, and the cohomology pass numbers its triangle rows
 backwards, so every pass takes a column's highest row as its pivot.  ``p``
 picks only the column kernel, which owns the inner loop: over F_2 a column
@@ -231,20 +234,24 @@ def _pair_by_cohomology(
 
 
 def _forest_cycles(
-    ends: list[list[int]], cleared: list[bool], essential: list[int], n_points: int, p: int
+    edge_faces: np.ndarray, cleared: list[bool], essential: list[int], n_points: int, p: int
 ) -> dict[int, Chain]:
     """Each essential edge (j, i) -> its cycle: the edge at 1 plus the path
     from j to i in the forest of the cleared edges, each edge walked from its
-    lower end to its higher end at 1 and the other way at p - 1.  ``ends[e]``
-    lists edge e's vertices higher first, as the builder's faces do."""
-    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n_points)]
-    for e, ((j, i), dead) in enumerate(zip(ends, cleared)):
-        if dead:
-            neighbours[i].append((j, e))
-            neighbours[j].append((i, e))
+    lower end to its higher end at 1 and the other way at p - 1.  Edge e's
+    vertices are ``edge_faces[e]``, higher first, as the builder stores them.
+    Only the vertices of forest edges are visited: an essential edge closes
+    a cycle, so both its ends are among them."""
+    if not essential:
+        return {}
+    forest = np.flatnonzero(cleared)
+    neighbours: dict[int, list[tuple[int, int]]] = {}
+    for e, (j, i) in zip(forest.tolist(), edge_faces[forest].tolist()):
+        neighbours.setdefault(i, []).append((j, e))
+        neighbours.setdefault(j, []).append((i, e))
     # root each tree at its lowest vertex: parent, the edge to it, and depth
     parent, via, depth = [-1] * n_points, [-1] * n_points, [-1] * n_points
-    for root in range(n_points):
+    for root in sorted(neighbours):
         if depth[root] < 0:
             depth[root], stack = 0, [root]
             while stack:
@@ -255,9 +262,9 @@ def _forest_cycles(
                         stack.append(w)
 
     cycles = {}
-    for e in reversed(essential):  # oldest first
-        a, b = ends[e]  # walk up from both ends until they meet
-        cycle = {e: 1}
+    oldest_first = essential[::-1]
+    for e, (a, b) in zip(oldest_first, edge_faces[oldest_first].tolist()):
+        cycle = {e: 1}  # walk up from both ends until they meet
         while a != b:
             if depth[a] >= depth[b]:
                 cycle[via[a]] = 1 if a < parent[a] else p - 1
@@ -269,22 +276,38 @@ def _forest_cycles(
     return cycles
 
 
+class Pairing(NamedTuple):
+    """Passes 1 and 2 of the module notes, in ranks; no representative."""
+
+    pairs: dict[int, int]  # death triangle -> the edge whose class it kills
+    essential: list[int]  # edges whose class never dies, youngest first
+    cleared: list[bool]  # per edge: it joins two components, an H_0 death
+
+
+def pair_h1(cplx: FilteredComplex, p: int) -> Pairing:
+    """The H_1 pairing of a filtered complex over F_p: ``distance.joins``
+    marks the H_0 deaths, and ``_pair_by_cohomology`` pairs the other edges.
+    Every edge is cleared, paired or essential."""
+    check_prime(p)
+    edge_faces, tri_faces = cplx.faces
+    cleared = joins(edge_faces.tolist(), cplx.n_points)[0]
+    pairs, essential = _pair_by_cohomology(tri_faces, len(edge_faces), cleared, _kernel(p))
+    return Pairing(pairs, essential, cleared)
+
+
 def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
     """Pairs by cohomology, representatives by homology and by the forest;
     see the module notes."""
-    kernel = _kernel(p)
-    edge_faces, tri_faces = cplx.faces
-    ends = edge_faces.tolist()
-    cleared = joins(ends, cplx.n_points)[0]
-    pairs, essential = _pair_by_cohomology(tri_faces, len(edge_faces), cleared, kernel)
+    pairs, essential, cleared = pair_h1(cplx, p)
 
     # reduce the death columns of the bars a report prints, and the ones they read
     tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
     edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
     edge_value, tri_value = cplx.values
     printed = np.sort(tri[edge_value[edge] < tri_value[tri]]).tolist()
-    deaths = _death_columns(tri_faces, pairs, printed, kernel)
-    return _Reduction(pairs, deaths, _forest_cycles(ends, cleared, essential, cplx.n_points, p))
+    deaths = _death_columns(cplx.faces[1], pairs, printed, _kernel(p))
+    cycles = _forest_cycles(cplx.faces[0], cleared, essential, cplx.n_points, p)
+    return _Reduction(pairs, deaths, cycles)
 
 
 def reduce_with_basis(cplx: FilteredComplex, p: int) -> _Reduction:
@@ -304,7 +327,6 @@ def barcode_h1(cplx: FilteredComplex, p: int) -> Barcode:
     Zero-length pairs (birth == death) are discarded, and their death
     columns are never reduced unless a printed bar's column reads them.
     """
-    check_prime(p)
     core = _reduce(cplx, p)
     chain = _kernel(p).chain
     # read only the kept bars' values, as Python ints

@@ -8,10 +8,12 @@ scaled values.  A death at or beyond 2N can only happen at scale >= 2, so the
 class survives every step up to the horizon; the first block is all that SNV
 membership needs.
 
-Per-step runs cannot see deaths, so ``verify_correspondence`` checks the
-deformed death steps with ``stability_report``: one sweep over the thresholds
-kappa(0..m) tests the chain the engine returned for every bar against an
-echelon that the reduction never touched.  The emitted id representatives are
+Per-step runs cannot see deaths, so the verdict, ``correspondence``, reads
+only their per-step counts (``classical_counts`` gives them with no
+representative) and checks the deformed death steps with
+``stability_report``: one sweep over the thresholds kappa(0..m) tests the
+chain the engine returned for every bar against an echelon that the
+reduction never touched.  The emitted id representatives are
 checked by acceptance criterion 6 and by the benchmark gate.
 """
 
@@ -19,18 +21,26 @@ from __future__ import annotations
 
 import statistics
 import time
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
 
 import numpy as np
 
-from .distance import DistanceSpace, ScaleSchedule, TimeLabels, as_natural, check_horizon
+from .distance import (
+    DistanceSpace,
+    ScaleSchedule,
+    SequenceSpace,
+    TimeLabels,
+    as_natural,
+    check_horizon,
+)
 
 # deform is no longer read here; it stays importable under this module
 # because perfbench/spans.py traces it by this name.
 from .distance import deform  # noqa: F401
 from .errors import InputError
-from .persistence import Bar, Chain, barcode_h1, nonzero_sweep
+from .persistence import Bar, Chain, barcode_h1, nonzero_sweep, pair_h1
 from .rips import Edges, FilteredComplex, build_rips
 
 Representative = tuple[tuple[str, str, int], ...]
@@ -151,6 +161,35 @@ def _snv_bar(
     return SnvBar(birth_step, death_step, bar.birth_value, bar.death_value, named)
 
 
+def _classical_cap(cap: int | str | None) -> int | None:
+    """A classical cap as a natural number >= 1, or None for each step's full
+    diameter (``None`` or ``"full"``); below 1 the scale-1 births are
+    unobservable."""
+    cap = None if cap in (None, "full") else as_natural(cap, "cap")
+    if cap is not None and cap < 1:
+        raise InputError(f"classical cap must be >= 1, got {cap}")
+    return cap
+
+
+def _step_complexes(
+    space: DistanceSpace, labels: TimeLabels, cap: int | None
+) -> Iterator[tuple[int, int, FilteredComplex]]:
+    """Each block [start, end) of steps that share a point set, with its
+    complex capped at ``cap``, or at the block's own diameter for None.
+
+    Every block is built on all n points from the edges of one list,
+    ``space.edges(cap)``, whose ends are both present; an absent point is
+    an isolated vertex, with no H_1.
+    """
+    lab = labels.vector(space.point_ids)
+    i, j, h = space.edges(space.diameter_bound() if cap is None else cap)
+    late = np.maximum(lab[i], lab[j])  # the first step that has the edge
+    for start, end in labels.step_blocks(space.point_ids):
+        inside = late <= start
+        step_cap = int(h[inside].max(initial=0)) if cap is None else cap
+        yield start, end, build_rips(Edges(space.n, i[inside], j[inside], h[inside]), step_cap)
+
+
 def classical_snv(
     space: DistanceSpace,
     labels: TimeLabels,
@@ -160,33 +199,22 @@ def classical_snv(
     """One barcode per time step; bars born at scale 1 are the SNV cycles.
 
     Steps between two consecutive labels share one point set, so each block
-    is computed once and its bars repeated with each step as birth step.
-    Every block is built on all n points from the edges of one list,
-    ``space.edges(cap)``, whose ends are both present; an absent point is
-    an isolated vertex, with no H_1.  ``cap`` defaults to each step's full
-    diameter, which ``"full"`` also means (the report's cap is then None,
-    and the edge list holds every pair); an explicit cap must be >= 1 or
-    the scale-1 births are unobservable.
+    is computed once (``_step_complexes``) and its bars repeated with each
+    step as birth step.  ``cap`` defaults to each step's full diameter,
+    which ``"full"`` also means (the report's cap is then None, and the edge
+    list holds every pair); an explicit cap must be >= 1.
     """
-    cap = None if cap in (None, "full") else as_natural(cap, "cap")
-    if cap is not None and cap < 1:
-        raise InputError(f"classical cap must be >= 1, got {cap}")
-    lab = labels.vector(space.point_ids)
-    i, j, h = space.edges(space.diameter_bound() if cap is None else cap)
-    late = np.maximum(lab[i], lab[j])  # the first step that has the edge
+    cap = _classical_cap(cap)
     caps_by_step: list[int] = []
     counts: list[int] = []
     bars: list[SnvBar] = []
-    for start, end in labels.step_blocks(space.point_ids):
-        inside = late <= start
-        step_cap = int(h[inside].max(initial=0)) if cap is None else cap
-        cplx = build_rips(Edges(space.n, i[inside], j[inside], h[inside]), step_cap)
+    for start, end, cplx in _step_complexes(space, labels, cap):
         step_bars = [
             _snv_bar(cplx, space.point_ids, bar, start, None)
             for bar in barcode_h1(cplx, p).bars
             if bar.birth_value == 1
         ]
-        caps_by_step += [step_cap] * (end - start)
+        caps_by_step += [cplx.cap] * (end - start)
         counts += [len(step_bars)] * (end - start)
         bars += [replace(b, birth_step=k) for k in range(start, end) for b in step_bars]
     return SnvReport(
@@ -202,6 +230,28 @@ def classical_snv(
         space=space,
         labels=labels,
     )
+
+
+def classical_counts(
+    space: DistanceSpace,
+    labels: TimeLabels,
+    p: int = 2,
+    cap: int | str | None = None,
+) -> list[int]:
+    """``classical_snv(space, labels, p, cap).per_step_counts`` with no
+    representative: each block of steps counts, from ``pair_h1`` alone, its
+    pairs and essential edges born at scale 1 that are not zero-length.  At
+    cap 1 that is every essential edge."""
+    counts: list[int] = []
+    for start, end, cplx in _step_complexes(space, labels, _classical_cap(cap)):
+        pairs, essential, _ = pair_h1(cplx, p)
+        edge_value, tri_value = cplx.values
+        tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
+        edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
+        born = np.count_nonzero((edge_value[edge] == 1) & (tri_value[tri] > 1))
+        born += np.count_nonzero(edge_value[essential] == 1)
+        counts += [int(born)] * (end - start)
+    return counts
 
 
 def deformed_snv(
@@ -280,15 +330,11 @@ def alive_counts(bars: list[SnvBar], m: int) -> list[int]:
 def verify_correspondence(
     classical: SnvReport, deformed: SnvReport
 ) -> CorrespondenceReport:
-    """Check the deformed run against classical computations of the same data.
-
-    Two checks: per-step count equality |SNV_i| = |SNV*_i|, and every deformed
-    bar's step interval against the homology of its representative, tested by
-    ``stability_report`` with an echelon of its own.  A bar whose class is
-    nonzero exactly on its interval has a confirmed death step; each step where
-    membership and homology disagree is a discrepancy naming the bar and the
-    step.  The correspondence predicts there are none.
-    """
+    """Check the deformed run against classical computations of the same data:
+    the reports must share their points, distances, labels, horizon and
+    prime, and ``correspondence`` gives the verdict on the classical counts.
+    Two sequence spaces are compared by their codes, so neither builds its
+    Hamming matrix."""
     if classical.mode != "classical" or deformed.mode != "deformed":
         raise InputError("verify_correspondence needs a classical and a deformed report")
     if (
@@ -299,18 +345,38 @@ def verify_correspondence(
         raise InputError("reports were computed over different inputs")
     if classical.space is None or deformed.space is None:
         raise InputError("reports are missing their input context")
-    if classical.space is not deformed.space and not np.array_equal(
-        classical.space.dist, deformed.space.dist
-    ):
+    if not _same_distances(classical.space, deformed.space):
         raise InputError("reports were computed over different distance matrices")
     if classical.labels.by_id != deformed.labels.by_id:
         raise InputError("reports were computed over different time labels")
+    return correspondence(classical.per_step_counts, deformed)
 
-    m, p = classical.m, classical.p
-    cl_counts, df_counts = classical.per_step_counts, deformed.per_step_counts
-    counts_match = [a == b for a, b in zip(cl_counts, df_counts, strict=True)]
+
+def _same_distances(a: DistanceSpace, b: DistanceSpace) -> bool:
+    """Whether two spaces over the same ids are the same input: equal codes
+    for two sequence spaces, else equal matrices."""
+    if a is b:
+        return True
+    if isinstance(a, SequenceSpace) and isinstance(b, SequenceSpace):
+        return np.array_equal(a.codes, b.codes)
+    return np.array_equal(a.dist, b.dist)
+
+
+def correspondence(counts: list[int], deformed: SnvReport) -> CorrespondenceReport:
+    """The verdict on a deformed run, given the classical per-step ``counts``
+    of the same input.
+
+    Two checks: per-step count equality |SNV_i| = |SNV*_i|, and every deformed
+    bar's step interval against the homology of its representative, tested by
+    ``stability_report`` with an echelon of its own.  A bar whose class is
+    nonzero exactly on its interval has a confirmed death step; each step where
+    membership and homology disagree is a discrepancy naming the bar and the
+    step.  The correspondence predicts there are none.
+    """
+    df_counts = deformed.per_step_counts
+    counts_match = [a == b for a, b in zip(counts, df_counts, strict=True)]
     discrepancies = [
-        f"step {i}: classical count {cl_counts[i]} != deformed count {df_counts[i]}"
+        f"step {i}: classical count {counts[i]} != deformed count {df_counts[i]}"
         for i, same in enumerate(counts_match)
         if not same
     ]
@@ -322,7 +388,7 @@ def verify_correspondence(
         for bar, row in zip(deformed.bars, stability.rows)
         if bar.death_step is not None and row.member_by_step == row.nonzero_by_step
     )
-    return CorrespondenceReport(m, p, counts_match, matched, discrepancies)
+    return CorrespondenceReport(deformed.m, deformed.p, counts_match, matched, discrepancies)
 
 
 def stability_report(report: SnvReport) -> StabilityReport:

@@ -376,3 +376,42 @@ def h0_edges(cplx: FilteredComplex, result) -> set[int]:
     cycle: its H_0 deaths."""
     n_edges = len(cplx.faces[0])
     return set(range(n_edges)) - set(result.pairs.values()) - result.cycles.keys()
+
+
+def reference_forest_cycles(
+    ends: list[list[int]], cleared: list[bool], essential: list[int], n_points: int, p: int
+) -> dict[int, dict[int, int]]:
+    """Each essential edge -> its forest cycle, as the engine found it before
+    it rooted only the forest's own vertices: a neighbour list and a root
+    for every point, isolated or not.  ``ends[e]`` lists edge e's vertices
+    higher first; the cycle is the edge at 1 plus the forest path between its
+    ends, each edge at 1 when walked from its lower to its higher end."""
+    neighbours: list[list[tuple[int, int]]] = [[] for _ in range(n_points)]
+    for e, ((j, i), dead) in enumerate(zip(ends, cleared)):
+        if dead:
+            neighbours[i].append((j, e))
+            neighbours[j].append((i, e))
+    parent, via, depth = [-1] * n_points, [-1] * n_points, [-1] * n_points
+    for root in range(n_points):
+        if depth[root] < 0:
+            depth[root], stack = 0, [root]
+            while stack:
+                u = stack.pop()
+                for w, e in neighbours[u]:
+                    if depth[w] < 0:
+                        parent[w], via[w], depth[w] = u, e, depth[u] + 1
+                        stack.append(w)
+
+    cycles = {}
+    for e in reversed(essential):
+        a, b = ends[e]
+        cycle = {e: 1}
+        while a != b:
+            if depth[a] >= depth[b]:
+                cycle[via[a]] = 1 if a < parent[a] else p - 1
+                a = parent[a]
+            else:
+                cycle[via[b]] = 1 if parent[b] < b else p - 1
+                b = parent[b]
+        cycles[e] = cycle
+    return cycles

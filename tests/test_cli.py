@@ -4,6 +4,8 @@ import pytest
 
 import snvrips.cli as cli
 import snvrips.distance
+import snvrips.persistence
+import snvrips.pipeline
 from snvrips.pipeline import CorrespondenceReport
 
 MATRIX = "1\n2 1\n1 2 1\n"
@@ -66,18 +68,47 @@ def test_compare_classical_cap_1_prints_the_same_report(capsys):
 
 def test_compare_passes_the_classical_cap(monkeypatch):
     seen = []
-    real = cli.classical_snv
+    real = cli.classical_counts
 
     def spy(space, labels, p, cap):
         seen.append(cap)
         return real(space, labels, p=p, cap=cap)
 
-    monkeypatch.setattr(cli, "classical_snv", spy)
+    monkeypatch.setattr(cli, "classical_counts", spy)
     args = ["compare", "--n", "8", "--m", "2", "--seed", "3"]
     # the last call reuses the parser of the calls with an explicit cap
     for extra in ([], ["--cap", "full"], ["--cap", "3"], []):
         assert cli.main(args + extra) == 0
     assert seen == [1, "full", 3, 1]
+
+
+def test_compare_builds_representatives_only_for_the_deformed_side(monkeypatch, capsys):
+    # the forest walk and the naming of edges by point id run once per
+    # deformed barcode and once per deformed bar, whatever the classical cap
+    calls = {"forest": 0, "named": 0}
+
+    def counted(key, fn):
+        def run(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+
+        return run
+
+    forest, named = snvrips.persistence._forest_cycles, snvrips.pipeline._snv_bar
+    monkeypatch.setattr(snvrips.persistence, "_forest_cycles", counted("forest", forest))
+    monkeypatch.setattr(snvrips.pipeline, "_snv_bar", counted("named", named))
+    args = ["--n", "14", "--m", "3", "--dmax", "2", "--seed", "2"]
+    assert cli.main(["deformed", *args]) == 0
+    bars = len(json.loads(capsys.readouterr().out)["bars"])
+    assert bars and calls == {"forest": 1, "named": bars}
+    for cap in ([], ["--cap", "full"], ["--cap", "2"]):
+        calls.update(forest=0, named=0)
+        assert cli.main(["compare", "--strict", *args, *cap]) == 0
+        assert calls == {"forest": 1, "named": bars}
+    # the counters see the classical side when it builds representatives
+    calls.update(forest=0, named=0)
+    assert cli.main(["classical", "--cap", "1", *args]) == 0
+    assert calls["forest"] == 4 and calls["named"] > 0
 
 
 def test_the_reused_parser_carries_nothing_from_call_to_call(tmp_path, capsys):
@@ -126,7 +157,7 @@ def test_compare_strict_exits_2_on_discrepancy(monkeypatch, capsys):
         matched_deaths=[],
         discrepancies=["step 1: classical count 1 != deformed count 0"],
     )
-    monkeypatch.setattr(cli, "verify_correspondence", lambda a, b: fake)
+    monkeypatch.setattr(cli, "correspondence", lambda counts, deformed: fake)
     assert cli.main(["compare", "--n", "5", "--m", "1", "--strict"]) == 2
     captured = capsys.readouterr()
     assert "discrepancy" in captured.err

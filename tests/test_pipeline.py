@@ -3,17 +3,20 @@ import sys
 import numpy as np
 import pytest
 
+import snvrips.distance
 import snvrips.persistence
 import snvrips.pipeline
 from snvrips import (
     DistanceSpace,
     InputError,
     RandomInstanceSpec,
+    SequenceSpace,
     TimeLabels,
     barcode_h1,
     benchmark,
     betti1_bruteforce,
     build_rips,
+    classical_counts,
     classical_snv,
     deform,
     deformed_snv,
@@ -254,6 +257,63 @@ def test_verify_correspondence_compares_distinct_spaces_by_their_matrices():
         InputError, match="^reports were computed over different distance matrices$"
     ):
         verify_correspondence(classical_snv(other, labels), df)
+
+
+def test_verify_correspondence_compares_sequence_spaces_by_their_codes(monkeypatch):
+    # two equal sequence spaces, checked with no Hamming matrix built
+    def no_matrix(codes):
+        raise AssertionError("a Hamming matrix was built")
+
+    monkeypatch.setattr(snvrips.distance, "hamming_matrix", no_matrix)
+    rows = ["AAAA", "AAAC", "AACC", "AACA", "CAAA"]
+    ids = tuple(f"s{k}" for k in range(len(rows)))
+    codes = np.array([[ord(c) for c in row] for row in rows], dtype=np.uint32)
+    labels = TimeLabels(2, dict(zip(ids, [0, 0, 1, 1, 2])))
+    a, b = SequenceSpace(ids, codes), SequenceSpace(ids, codes.copy())
+    verdict = verify_correspondence(classical_snv(a, labels, cap=1), deformed_snv(b, labels))
+    assert verdict.ok and verdict.per_step_counts_match == [True] * 3
+    other = codes.copy()
+    other[4, 3] = ord("G")
+    with pytest.raises(
+        InputError, match="^reports were computed over different distance matrices$"
+    ):
+        verify_correspondence(
+            classical_snv(SequenceSpace(ids, other), labels, cap=1), deformed_snv(b, labels)
+        )
+    # a plain matrix space against a sequence space compares the matrices
+    monkeypatch.undo()
+    plain = DistanceSpace(ids, b.dist.copy())
+    assert verify_correspondence(classical_snv(plain, labels, cap=1), deformed_snv(b, labels)).ok
+
+
+def test_classical_counts_skip_zero_length_and_later_births():
+    # a unit triangle (a zero-length pair at 1), a square of side 2 with
+    # diagonals 3 (born at 2) and a square of side 1 with diagonals 2 (born
+    # at 1), 3 apart from each other; at every cap only the last one counts
+    d = np.full((11, 11), 3, dtype=np.int64)
+    np.fill_diagonal(d, 0)
+    for group, side, diagonal in (([0, 1, 2], 1, 1), ([3, 4, 5, 6], 2, 3), ([7, 8, 9, 10], 1, 2)):
+        for a in range(len(group)):
+            for b in range(a + 1, len(group)):
+                apart = 1 if len(group) == 3 else (b - a) % 2
+                u, v = group[a], group[b]
+                d[u, v] = d[v, u] = side if apart else diagonal
+    ids = tuple(f"p{k}" for k in range(11))
+    space, labels = DistanceSpace(ids, d), TimeLabels(1, dict.fromkeys(ids, 0))
+    for p in (2, 3):
+        for cap in (1, 2, "full"):
+            assert classical_counts(space, labels, p, cap) == [1, 1]
+            assert classical_snv(space, labels, p, cap).per_step_counts == [1, 1]
+
+
+def test_classical_counts_reject_what_classical_snv_rejects():
+    space, labels = apex_square()
+    for cap, error in ((0, "classical cap must be >= 1, got 0"), (1.5, "cap must be")):
+        for run in (classical_counts, classical_snv):
+            with pytest.raises(InputError, match=error):
+                run(space, labels, 2, cap)
+    with pytest.raises(InputError, match="prime"):
+        classical_counts(space, labels, 4, 1)
 
 
 def test_correspondence_on_suite():

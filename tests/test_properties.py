@@ -29,6 +29,7 @@ from snvrips import (
     InputError,
     TimeLabels,
     barcode_h1,
+    classical_counts,
     classical_snv,
     deform,
     deformed_snv,
@@ -42,12 +43,13 @@ from snvrips.distance import (
     ScaleSchedule,
     build_space_from_sequences,
     dedupe_zero_distance,
+    joins,
     merge_distances,
     group_zero_distance,
 )
 from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
-from snvrips.persistence import reduce_with_basis
+from snvrips.persistence import _forest_cycles, reduce_with_basis
 from snvrips.pipeline import SnvBar, alive_counts
 from snvrips.rips import Edges, Simplex, build_rips
 
@@ -63,6 +65,7 @@ from helpers import (
     ids_of_chain,
     matrix_rips,
     read_lower_triangle,
+    reference_forest_cycles,
     standard_view,
 )
 
@@ -755,3 +758,73 @@ def test_one_edge_list_builds_every_complex(records, p, data):
             assert (got.cap, got.bars, got.chains) == deformed_reference(
                 reference, labels, p, cap
             )
+
+
+@st.composite
+def forests_with_closing_edges(draw):
+    """(ends, cleared, essential, n): a forest on n points, isolated ones
+    among them, whose edges are cleared; edges that close a cycle in one of
+    its trees, which are essential, youngest first; and other edges, which
+    are neither.  Vertices are shuffled, so trees interleave in vertex order,
+    and edges come in a random rank order, each listed higher end first."""
+    n = draw(st.integers(1, 14))
+    label = draw(st.permutations(range(n)))
+    forest = set()
+    for v in range(1, n):
+        u = draw(st.one_of(st.none(), st.integers(0, v - 1)))
+        if u is not None:
+            forest.add(tuple(sorted((label[u], label[v]))))
+    root = joins(sorted(forest), n)[1]
+    others = [pair for pair in itertools.combinations(range(n), 2) if pair not in forest]
+    closing = [pair for pair in others if root[pair[0]] == root[pair[1]]]
+    closing = draw(st.lists(st.sampled_from(closing), unique=True)) if closing else []
+    rest = [pair for pair in others if pair not in closing]
+    rest = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
+    edges = draw(st.permutations(sorted(forest) + closing + rest))
+    ends = [[b, a] for a, b in edges]
+    cleared = [edge in forest for edge in edges]
+    essential = sorted((edges.index(edge) for edge in closing), reverse=True)
+    return ends, cleared, essential, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests_with_closing_edges(), st.sampled_from([2, 3, 5]))
+def test_forest_cycles_visit_only_the_forest_and_find_the_same_cycles(case, p):
+    # the same cycles as a rooting of every point, insertion order included
+    ends, cleared, essential, n = case
+    faces = np.array(ends, dtype=np.int64).reshape(-1, 2)
+    got = _forest_cycles(faces, cleared, essential, n, p)
+    want = reference_forest_cycles(ends, cleared, essential, n, p)
+    assert [(e, list(c.items())) for e, c in got.items()] == [
+        (e, list(c.items())) for e, c in want.items()
+    ]
+
+
+@st.composite
+def labelled_inputs(draw):
+    """A matrix space at distances 1-3 or a star-set sequence space, with
+    labels that may leave the first steps empty and a horizon that may run
+    past the last label."""
+    if draw(st.booleans()):
+        d = draw(symmetric_matrices(max_n=9, max_value=3, min_n=1))
+        space = DistanceSpace(tuple(f"p{i}" for i in range(len(d))), d)
+    else:
+        records = draw(star_sets())
+        fasta = "".join(f">{rid}\n{seq}\n" for rid, seq, _ in records)
+        meta = "id\ttime\n" + "".join(f"{rid}\t0\n" for rid, _, _ in records)
+        space = parse_sequences(fasta, meta).space
+    first = draw(st.integers(0, 2))
+    times = draw(st.lists(st.integers(first, first + 3), min_size=space.n, max_size=space.n))
+    m = max(times) + draw(st.integers(0, 2))
+    return space, TimeLabels(m, dict(zip(space.point_ids, times)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(labelled_inputs(), st.sampled_from([2, 3, 5]))
+def test_classical_counts_are_the_classical_reports_counts(case, p):
+    space, labels = case
+    for cap in (1, 2, "full"):
+        counts = classical_counts(space, labels, p, cap)
+        assert counts == classical_snv(space, labels, p, cap).per_step_counts
+        if cap == 1:
+            assert counts == snv_counts_oracle(space, labels, p)
