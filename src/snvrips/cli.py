@@ -77,7 +77,8 @@ def resolve_input(
     Exactly one source is allowed: sequence files, matrix files, or the
     seeded generator.  ``default_spec`` supplies a generator fallback for
     subcommands that can run without explicit input (bench).  Every source
-    must pass ``check_horizon``, so all subcommands accept the same inputs.
+    is extended to ``--horizon`` here and must pass ``check_horizon``, so all
+    subcommands accept the same inputs.
     """
     picked = [
         flag
@@ -94,13 +95,11 @@ def resolve_input(
     if args.sequences is not None:
         if args.metadata is None:
             raise InputError("--sequences requires --metadata")
-        bundle = parse_sequences(
-            _read(args.sequences), _read(args.metadata), horizon=args.horizon
-        )
+        bundle = parse_sequences(_read(args.sequences), _read(args.metadata))
     elif args.matrix is not None:
         if args.times is None:
             raise InputError("--matrix requires --times")
-        bundle = parse_matrix(_read(args.matrix), _read(args.times), horizon=args.horizon)
+        bundle = parse_matrix(_read(args.matrix), _read(args.times))
     else:
         if args.n is not None or args.m is not None:
             if args.n is None or args.m is None:
@@ -112,8 +111,8 @@ def resolve_input(
             raise InputError(
                 "no input given; use --sequences/--metadata, --matrix/--times, or --n/--m"
             )
-        space, labels = random_instance(spec)
-        bundle = InputBundle(space, labels.extended(args.horizon))
+        bundle = InputBundle(*random_instance(spec))
+    bundle.labels = bundle.labels.extended(args.horizon)
     check_horizon(bundle.space, bundle.labels.m)
     return bundle
 

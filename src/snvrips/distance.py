@@ -281,7 +281,7 @@ class TimeLabels:
         """The same labels over horizon ``horizon``; None keeps m."""
         if horizon is None:
             return self
-        if horizon < self.m:
+        if (horizon := as_natural(horizon, "horizon")) < self.m:
             raise InputError(
                 f"horizon {horizon} is below m = {self.m}; it may only extend the series"
             )
@@ -387,6 +387,8 @@ def dedupe_zero_distance(
     ids = list(point_ids)
     n = len(ids)
     kind = np.unique(np.asarray(group), return_inverse=True)[1].ravel()
+    if kind.size != n:
+        raise InputError(f"{n} point ids but {kind.size} group entries")
     if kind.size == 0 or kind.max() + 1 == n:
         return tuple(ids), np.arange(n), {}
     # points in id order: the first point met of each group is its kept one,

@@ -66,11 +66,10 @@ def _merged_bundle(
     space: DistanceSpace,
     merges: dict[str, str],
     times: dict[str, int],
-    horizon: int | None,
     reason: str,
 ) -> InputBundle:
     """Label each kept point with the smallest time of its merged group; the
-    horizon comes from the times before merging."""
+    horizon is the largest time before merging."""
     labels = {pid: times[pid] for pid in space.point_ids}
     for dropped, kept in merges.items():
         labels[kept] = min(labels[kept], times[dropped])
@@ -78,8 +77,7 @@ def _merged_bundle(
         f"merged {dropped} into {kept} ({reason})"
         for dropped, kept in sorted(merges.items())
     ]
-    labels = TimeLabels(max(times.values()), labels).extended(horizon)
-    return InputBundle(space, labels, merges, notes)
+    return InputBundle(space, TimeLabels(max(times.values()), labels), merges, notes)
 
 
 def _numbered_lines(text: str) -> list[tuple[int, str]]:
@@ -146,11 +144,10 @@ def _parse_metadata(text: str) -> dict[str, int]:
     return times
 
 
-def parse_sequences(
-    fasta_text: str, metadata_text: str, horizon: int | None = None
-) -> InputBundle:
-    """Resolve sequence records plus time metadata into a labelled space.
-    A leading byte-order mark in either text is dropped."""
+def parse_sequences(fasta_text: str, metadata_text: str) -> InputBundle:
+    """Resolve sequence records plus time metadata into a labelled space over
+    the largest time; ``bundle.labels.extended(h)`` extends it.  A leading
+    byte-order mark in either text is dropped."""
     records = _parse_fasta(fasta_text.removeprefix(BOM))
     times = _parse_metadata(metadata_text.removeprefix(BOM))
     for rid, _ in records:
@@ -162,7 +159,7 @@ def parse_sequences(
             raise InputError(f"metadata row for unknown sequence id {rid!r}")
 
     space, merges = build_space_from_sequences(records)
-    return _merged_bundle(space, merges, times, horizon, "identical sequences")
+    return _merged_bundle(space, merges, times, "identical sequences")
 
 
 # 10^18 - 1 < 2^63: a cell of at most 18 digits cannot wrap int64
@@ -256,11 +253,10 @@ def _read_cells(text: str, n: int) -> np.ndarray:
     return dist
 
 
-def parse_matrix(
-    matrix_text: str, times_text: str, horizon: int | None = None
-) -> InputBundle:
-    """Resolve a lower-triangular distance file plus a time vector.  A
-    leading byte-order mark in either text is dropped."""
+def parse_matrix(matrix_text: str, times_text: str) -> InputBundle:
+    """Resolve a lower-triangular distance file plus a time vector into a
+    labelled space over the largest time; ``bundle.labels.extended(h)``
+    extends it.  A leading byte-order mark in either text is dropped."""
     matrix_text, times_text = matrix_text.removeprefix(BOM), times_text.removeprefix(BOM)
     time_lines = _numbered_lines(times_text)
     if not time_lines:
@@ -284,7 +280,7 @@ def parse_matrix(
     times = dict(zip(ids, times_list))
     ids2, slot, merges = dedupe_zero_distance(ids, group_zero_distance(dist))
     space = DistanceSpace(ids2, merge_distances(dist, slot))
-    return _merged_bundle(space, merges, times, horizon, "distance 0")
+    return _merged_bundle(space, merges, times, "distance 0")
 
 
 def _bar_dict(bar) -> dict:

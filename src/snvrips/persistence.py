@@ -17,9 +17,9 @@ matrix is built, as in Ripser.  It runs three passes:
    2021); most columns pair with no addition.  A pivot pairs an edge with
    the triangle that kills its class, and a column that reduces to zero is an
    essential class.
-3. Homology gives the representatives.  ``_death_columns`` reduces a list
-   of death triangles, the ones of the printed bars, and every column they
-   read: zero-length pairs are never reduced.  Reducing a column left to
+3. Homology gives the representatives.  ``_death_columns`` reduces the
+   death triangles of the printed bars, ``Pairing.finite``, and every column
+   they read: zero-length pairs are never reduced.  Reducing a column left to
    right only ever adds the reduced columns of the earlier triangles that own
    its intermediate lows, and the cohomology pairs name each owner in advance
    (the triangle that kills that edge), so each listed column is reduced with
@@ -181,15 +181,16 @@ class _Reduction:
 
 
 def _pair_by_cohomology(
-    tri_faces: np.ndarray, n_edges: int, cleared: list[bool], kernel: _Kernel
+    tri_faces: np.ndarray, cleared: list[bool], kernel: _Kernel
 ) -> tuple[dict[int, int], list[int]]:
-    """Reduce the uncleared edge coboundaries, youngest edge first.
+    """Reduce the uncleared edge coboundaries, youngest edge first; ``cleared``
+    holds one entry per edge.
 
     Coboundary rows are triangle ranks numbered backwards, so a column's
     highest row is its oldest triangle.  Returns the pairs (triangle -> edge)
     and the edges whose coboundary reduces to zero, youngest first.
     """
-    n_tri = len(tri_faces)
+    n_tri, n_edges = len(tri_faces), len(cleared)
     # the transpose: edge e's coboundary rows are co_rows[co_ptr[e]:co_ptr[e+1]],
     # descending, because a stable sort keeps each edge's triangles ascending;
     # slot k of the raveled faces is face k % 3 of triangle k // 3
@@ -282,30 +283,31 @@ class Pairing(NamedTuple):
     pairs: dict[int, int]  # death triangle -> the edge whose class it kills
     essential: list[int]  # edges whose class never dies, youngest first
     cleared: list[bool]  # per edge: it joins two components, an H_0 death
+    finite: list[int]  # death triangles, ascending, entering after their edge
 
 
 def pair_h1(cplx: FilteredComplex, p: int) -> Pairing:
     """The H_1 pairing of a filtered complex over F_p: ``distance.joins``
     marks the H_0 deaths, and ``_pair_by_cohomology`` pairs the other edges.
-    Every edge is cleared, paired or essential."""
+    Every edge is cleared, paired or essential.  ``finite`` lists the pairs
+    of positive length, the ones a barcode keeps."""
     check_prime(p)
     edge_faces, tri_faces = cplx.faces
     cleared = joins(edge_faces.tolist(), cplx.n_points)[0]
-    pairs, essential = _pair_by_cohomology(tri_faces, len(edge_faces), cleared, _kernel(p))
-    return Pairing(pairs, essential, cleared)
+    pairs, essential = _pair_by_cohomology(tri_faces, cleared, _kernel(p))
+    tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
+    edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
+    edge_value, tri_value = cplx.values
+    finite = np.sort(tri[edge_value[edge] < tri_value[tri]]).tolist()
+    return Pairing(pairs, essential, cleared, finite)
 
 
 def _reduce(cplx: FilteredComplex, p: int) -> _Reduction:
     """Pairs by cohomology, representatives by homology and by the forest;
     see the module notes."""
-    pairs, essential, cleared = pair_h1(cplx, p)
-
+    pairs, essential, cleared, finite = pair_h1(cplx, p)
     # reduce the death columns of the bars a report prints, and the ones they read
-    tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
-    edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
-    edge_value, tri_value = cplx.values
-    printed = np.sort(tri[edge_value[edge] < tri_value[tri]]).tolist()
-    deaths = _death_columns(cplx.faces[1], pairs, printed, _kernel(p))
+    deaths = _death_columns(cplx.faces[1], pairs, finite, _kernel(p))
     cycles = _forest_cycles(cplx.faces[0], cleared, essential, cplx.n_points, p)
     return _Reduction(pairs, deaths, cycles)
 
@@ -347,51 +349,44 @@ def nonzero_sweep(
     chains: list[Chain],
     thresholds: Sequence[int] | np.ndarray,
     p: int,
-    starts: list[int],
 ) -> list[list[bool]]:
     """Whether each 1-chain is homologically nonzero at each threshold.
 
     Entry [k][i] is True iff chain k is outside the span of the boundaries of
-    the triangles with value <= thresholds[i]; chain k is tested from
-    thresholds[starts[k]] on, where every edge of it must be present, and
-    reads False before.  Chains are keyed by edge rank and reduced against
-    one echelon of triangle boundaries, grown in rank order; each residue is
-    carried from one threshold to the next, since a residue reduced against
-    a smaller span stays valid as the span grows.
+    the triangles with value <= thresholds[i].  Chain k is tested from the
+    first threshold at or above the value of its youngest edge with a nonzero
+    coefficient, where every edge of it is present, and reads False before.
+    Chains are keyed by edge rank and reduced against one echelon of triangle
+    boundaries, grown in rank order; each residue is carried from one
+    threshold to the next, since a residue reduced against a smaller span
+    stays valid as the span grows.
     """
     check_prime(p)
     thresholds = np.asarray(thresholds)
     if (np.diff(thresholds) < 0).any():
         raise ValueError("thresholds must be ascending")
-    if len(starts) != len(chains):
-        raise ValueError(f"{len(chains)} chains but {len(starts)} starts")
     if not chains:
         return []
-    (edge_faces, tri_faces), (edge_value, tri_value) = cplx.faces, cplx.values
+    (_, tri_faces), (edge_value, tri_value) = cplx.faces, cplx.values
     # triangles are in value order: those below thresholds[i] are a prefix
     stops = np.searchsorted(tri_value, thresholds, "right").tolist()
-    thresholds = thresholds.tolist()
     residues: list[Chain] = []
-    for chain, start in zip(chains, starts):
+    for chain in chains:
         residue = {}
         for rank, coeff in chain.items():
             if not 0 <= rank < len(edge_value):
                 raise InputError(f"chain entry {rank} is not an edge rank")
-            value = int(edge_value[rank])
-            if start < len(thresholds) and value > thresholds[start]:
-                edge = tuple(edge_faces[rank, ::-1].tolist())
-                raise InputError(
-                    f"edge {edge} enters at value {value}, "
-                    f"after scale {thresholds[start]}"
-                )
             coeff = as_integer(coeff, "chain coefficient") % p
             if coeff:
                 residue[rank] = coeff
         residues.append(residue)
+    # values ascend with rank, so a chain's youngest edge enters last
+    entry = [edge_value[max(r)] if r else 0 for r in residues]
+    starts = np.searchsorted(thresholds, entry).tolist()
 
     # faces are read one triangle at a time: the sweep may stop long before the last
     echelon: dict[int, Chain] = {}  # pivot row -> normalized column
-    nonzero = [[False] * len(thresholds) for _ in chains]
+    nonzero = [[False] * len(stops) for _ in chains]
     done = 0
     for i, stop in enumerate(stops):
         for t in range(done, stop):

@@ -240,17 +240,13 @@ def classical_counts(
 ) -> list[int]:
     """``classical_snv(space, labels, p, cap).per_step_counts`` with no
     representative: each block of steps counts, from ``pair_h1`` alone, its
-    pairs and essential edges born at scale 1 that are not zero-length.  At
-    cap 1 that is every essential edge."""
+    finite pairs and essential edges born at scale 1.  At cap 1 that is every
+    essential edge."""
     counts: list[int] = []
     for start, end, cplx in _step_complexes(space, labels, _classical_cap(cap)):
-        pairs, essential, _ = pair_h1(cplx, p)
-        edge_value, tri_value = cplx.values
-        tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
-        edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))
-        born = np.count_nonzero((edge_value[edge] == 1) & (tri_value[tri] > 1))
-        born += np.count_nonzero(edge_value[essential] == 1)
-        counts += [int(born)] * (end - start)
+        pairs, essential, _, finite = pair_h1(cplx, p)
+        births = cplx.values[0][[pairs[t] for t in finite] + essential]
+        counts += [int(np.count_nonzero(births == 1))] * (end - start)
     return counts
 
 
@@ -373,6 +369,8 @@ def correspondence(counts: list[int], deformed: SnvReport) -> CorrespondenceRepo
     membership and homology disagree is a discrepancy naming the bar and the
     step.  The correspondence predicts there are none.
     """
+    if len(counts) != deformed.m + 1:
+        raise InputError(f"{len(counts)} classical counts for {deformed.m + 1} deformed steps")
     df_counts = deformed.per_step_counts
     counts_match = [a == b for a, b in zip(counts, df_counts, strict=True)]
     discrepancies = [
@@ -410,7 +408,6 @@ def stability_report(report: SnvReport) -> StabilityReport:
         report.chains,
         np.arange(schedule.kappa(0), schedule.kappa(m) + 1),
         report.p,
-        [bar.birth_step for bar in report.bars],
     )
     rows = []
     violations: list[str] = []
@@ -445,7 +442,6 @@ def benchmark(
         raise InputError(f"repetitions must be >= 1, got {repetitions}")
     classical_times = []
     deformed_times = []
-    classical = deformed = None
     for _ in range(repetitions):
         t0 = time.perf_counter()
         classical = classical_snv(space, labels, p, cap=1)
@@ -455,7 +451,7 @@ def benchmark(
         classical_times.append(t1 - t0)
         deformed_times.append(t2 - t1)
 
-    verdict = verify_correspondence(classical, deformed)
+    verdict = correspondence(classical.per_step_counts, deformed)
     classical_median = statistics.median(classical_times)
     deformed_median = statistics.median(deformed_times)
     return BenchmarkResult(

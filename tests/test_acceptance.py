@@ -45,11 +45,11 @@ SUITE_SEEDS = range(200)
 def assert_representative_valid(cplx, chain, birth, death, p):
     assert chain_boundary(cplx, chain, p) == {}, "representative is not a cycle"
     if death is None:
-        assert nonzero_sweep(cplx, [chain], [birth], p, [0]) == [[True]], (
+        assert nonzero_sweep(cplx, [chain], [birth], p) == [[True]], (
             "zero class at its birth"
         )
     else:
-        nonzero = nonzero_sweep(cplx, [chain], [birth, death - 1, death], p, [0])
+        nonzero = nonzero_sweep(cplx, [chain], [birth, death - 1, death], p)
         assert nonzero == [[True, True, False]]
 
 

@@ -241,6 +241,23 @@ def test_dedupe_keeps_least_id_and_label():
     assert bundle.labels.by_id == {"a1": 0, "m1": 1}
 
 
+def test_dedupe_needs_one_group_per_point():
+    for group in ([0, 1], [0, 1, 1, 2]):
+        with pytest.raises(InputError, match=f"3 point ids but {len(group)} group"):
+            dedupe_zero_distance(("a", "b", "c"), np.array(group))
+
+
+def test_extended_takes_a_natural_horizon():
+    labels = TimeLabels(2, {"a": 1})
+    assert labels.extended(None) is labels
+    assert labels.extended(np.int64(5)).m == 5
+    for horizon, message in (("5", "integer"), (2.5, "integer"), (-1, "non-negative")):
+        with pytest.raises(InputError, match=f"horizon must be .*{message}"):
+            labels.extended(horizon)
+    with pytest.raises(InputError, match="only extend"):
+        labels.extended(1)
+
+
 def test_dedupe_no_op_without_zeros():
     space = square_space()
     groups = group_zero_distance(space.dist)

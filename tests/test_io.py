@@ -62,10 +62,14 @@ def test_parse_sequences_merges_identical_records():
 
 
 def test_parse_sequences_horizon():
-    bundle = parse_sequences(FASTA, META, horizon=5)
-    assert bundle.labels.m == 5
+    labels = parse_sequences(FASTA, META).labels
+    assert labels.m == 1  # the largest time in the metadata
+    assert labels.extended(5).m == 5
     with pytest.raises(InputError, match="only extend"):
-        parse_sequences(FASTA, META, horizon=0)
+        labels.extended(0)
+    # a horizon given as text is bad input, not a comparison of str with int
+    with pytest.raises(InputError, match="horizon must be an integer, got '5'"):
+        parse_matrix("1\n", "0\n1\n").labels.extended("5")
 
 
 def test_parse_sequences_errors():

@@ -30,7 +30,7 @@ from helpers import (
 
 
 def nonzero_at(chain: Chain, cplx, v: int, p: int) -> bool:
-    return nonzero_sweep(cplx, [chain], [v], p, [0])[0][0]
+    return nonzero_sweep(cplx, [chain], [v], p)[0][0]
 
 
 def bar_multiset(barcode):
@@ -174,7 +174,7 @@ def test_finite_bars_die_exactly_at_death():
         bars = [b for b in barcode_h1(cplx, p).bars if b.death_value is not None]
         for bar in bars:
             thresholds = [bar.death_value - 1, bar.death_value]
-            row = nonzero_sweep(cplx, [bar.representative], thresholds, p, [0])[0]
+            row = nonzero_sweep(cplx, [bar.representative], thresholds, p)[0]
             assert row == [True, False]
 
 
@@ -188,35 +188,22 @@ def test_class_is_nonzero_on_square():
     edge = next(iter(bar.representative))
     assert not nonzero_at({edge: 2}, cplx, 1, 2)
     # one sweep carries the residue across thresholds; a chain reads False
-    # before its start
+    # before its edges enter at 1
     rep = bar.representative
-    assert nonzero_sweep(cplx, [rep, rep], [1, 2], 2, [0, 1]) == [
-        [True, False],
-        [False, False],
-    ]
+    assert nonzero_sweep(cplx, [rep, rep], [0, 1, 2], 2) == [[False, True, False]] * 2
 
 
 def test_class_check_rejects_absent_edges():
     cplx = matrix_rips(square_space().dist, cap=2)
     diagonal = rank(cplx, (0, 2))
-    with pytest.raises(InputError, match=r"edge \(0, 2\) enters at value 2"):
-        nonzero_at({diagonal: 1}, cplx, 1, 2)
-    # the edge is present at every threshold where its chain is tested
-    assert nonzero_sweep(cplx, [{diagonal: 1}], [1, 2], 2, [1]) == [[False, True]]
+    # a chain is tested from the threshold where its youngest edge enters
+    assert not nonzero_at({diagonal: 1}, cplx, 1, 2)
+    assert nonzero_sweep(cplx, [{diagonal: 1}], [1, 2], 2) == [[False, True]]
     for outside in (-1, len(cplx.faces[0])):
         with pytest.raises(InputError, match=f"chain entry {outside} is not an edge"):
             nonzero_at({outside: 1}, cplx, 1, 2)
     with pytest.raises(ValueError, match="ascending"):
-        nonzero_sweep(cplx, [], [2, 1], 2, [])
-
-
-def test_nonzero_sweep_needs_one_start_per_chain():
-    cplx = matrix_rips(square_space().dist, cap=2)
-    rep = barcode_h1(cplx, 2).bars[0].representative
-    with pytest.raises(ValueError, match="2 chains but 1 starts"):
-        nonzero_sweep(cplx, [rep, rep], [1], 2, [0])
-    with pytest.raises(ValueError, match="0 chains but 1 starts"):
-        nonzero_sweep(cplx, [], [1], 2, [0])
+        nonzero_sweep(cplx, [], [2, 1], 2)
 
 
 def test_mod_3_coefficients():

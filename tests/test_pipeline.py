@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,9 +29,11 @@ from snvrips import (
     time_offset_base,
     verify_correspondence,
 )
+from snvrips.distance import ScaleSchedule
 from snvrips.pipeline import (
     CLASSICAL_NOTE,
     SnvBar,
+    correspondence,
 )
 
 from helpers import (
@@ -85,7 +88,7 @@ def test_every_entry_point_taking_p_rejects_a_field_that_is_not_prime():
         for run in (
             lambda: deformed_snv(space, labels, p),
             lambda: classical_snv(space, labels, p),
-            lambda: nonzero_sweep(cplx, [], [], p, []),
+            lambda: nonzero_sweep(cplx, [], [], p),
             lambda: snv_counts_oracle(space, labels, p),
             lambda: betti1_bruteforce(space.dist, 1, p),
         ):
@@ -363,6 +366,38 @@ def test_stability_membership_is_contiguous():
             assert row.member_by_step == tuple(
                 row.birth_step <= i <= row.last_alive_step for i in range(labels.m + 1)
             )
+
+
+def test_stability_names_a_birth_claimed_too_early():
+    # the sweep tests a chain from its youngest edge's step on, so an earlier
+    # claimed birth reads a zero class there instead of raising InputError
+    space, labels = random_instance(RandomInstanceSpec(seed=0, n=14, m=4, d_max=2))
+    df = deformed_snv(space, labels)
+    assert df.bars[0].birth_step == 1
+    df.bars[0] = replace(df.bars[0], birth_step=0)
+    assert stability_report(df).violations == [
+        "bar 0: membership at step 0 is True but its class is zero there"
+    ]
+
+
+def test_the_sweep_starts_every_bar_at_its_birth_step():
+    for seed in range(200):
+        space, labels, _ = suite_instance(seed)
+        schedule = ScaleSchedule(labels.m)
+        for p in (2, 3):
+            df = deformed_snv(space, labels, p)
+            edge_value = df.filtered_complex.values[0]
+            for bar, chain in zip(df.bars, df.chains, strict=True):
+                youngest = max(rank for rank, c in chain.items() if c % p)
+                assert schedule.step_of(int(edge_value[youngest])) == bar.birth_step
+
+
+def test_correspondence_needs_one_count_per_step():
+    space, labels = apex_square()
+    df = deformed_snv(space, labels)
+    for counts in ([1], [1, 0, 0]):
+        with pytest.raises(InputError, match=f"{len(counts)} classical counts for 2"):
+            correspondence(counts, df)
 
 
 def test_extending_the_horizon_preserves_counts():

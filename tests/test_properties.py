@@ -230,8 +230,13 @@ def test_nonzero_sweep_matches_dense_rank(d, p, data):
             chains.append({edge_row[e]: data.draw(coeff) for e in picks})
 
     thresholds = list(range(diameter + 1))
-    starts = [max((edge_simplices[r].value for r in c), default=0) for c in chains]
-    got = nonzero_sweep(cplx, chains, thresholds, p, starts)
+    # a chain is tested from the value of its youngest edge with a nonzero
+    # coefficient, and reads False below it
+    starts = [
+        max((edge_simplices[r].value for r, c in chain.items() if c % p), default=0)
+        for chain in chains
+    ]
+    got = nonzero_sweep(cplx, chains, thresholds, p)
     for chain, start, row in zip(chains, starts, got):
         vector = np.zeros((len(edges), 1), dtype=np.int64)
         for r, c in chain.items():
@@ -494,7 +499,7 @@ def check_parser_and_cli(parse, flags, first, second, horizon, command):
     be rejected later (a deformation overflowing int64), but never with an
     exception escaping ``main``."""
     try:
-        parse(first, second, horizon=horizon)
+        parse(first, second).labels.extended(horizon)
         parsed = True
     except InputError:
         parsed = False
