@@ -10,9 +10,9 @@ Subcommands:
 Inputs come from sequence files (`--sequences`/`--metadata`), distance
 matrices (`--matrix`/`--times`), or a seeded generator (`--n`/`--m`).
 Reports go to standard output, diagnostics to standard error.  Exit codes:
-0 success, 1 bad input, 2 an agreement or stability check failed.  The
-argument parser is built on the first ``main`` call and reused by every later
-call in the process.
+0 success, 1 bad input or one too large for memory, 2 an agreement or
+stability check failed.  The argument parser is built on the first ``main``
+call and reused by every later call in the process.
 """
 
 import argparse
@@ -281,8 +281,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         check_prime(args.prime)
         return args.handler(args)
-    except (InputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (InputError, OSError, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

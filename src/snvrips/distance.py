@@ -135,23 +135,14 @@ class DistanceSpace:
 _BLOCK = 1 << 20
 
 
-def _hamming_rows(codes: np.ndarray):
-    """Row blocks of the Hamming matrix of ``codes``, top to bottom."""
+def hamming_matrix(codes: np.ndarray) -> np.ndarray:
+    """The n x n int64 Hamming matrix of the rows of ``codes``, in row blocks."""
     n, length = codes.shape
+    dist = np.empty((n, n), dtype=np.int64)
     rows = max(1, _BLOCK // max(n * length, 1))
     for start in range(0, n, rows):
         block = codes[start : start + rows, None, :] != codes[None, :, :]
-        yield block.sum(axis=2, dtype=np.int64)
-
-
-def hamming_matrix(codes: np.ndarray) -> np.ndarray:
-    """The n x n int64 Hamming matrix of the rows of ``codes``, in row blocks."""
-    n = len(codes)
-    dist = np.empty((n, n), dtype=np.int64)
-    start = 0
-    for block in _hamming_rows(codes):
-        dist[start : start + len(block)] = block
-        start += len(block)
+        dist[start : start + rows] = block.sum(axis=2, dtype=np.int64)
     return dist
 
 
@@ -213,10 +204,6 @@ class SequenceSpace(DistanceSpace):
     @cached_property
     def dist(self) -> np.ndarray:
         return hamming_matrix(self.codes)
-
-    def diameter(self) -> int:
-        """Largest pairwise distance, one row block at a time."""
-        return max((int(b.max()) for b in _hamming_rows(self.codes)), default=0)
 
     def diameter_bound(self) -> int:
         """The sequence length, which no Hamming distance exceeds."""
@@ -315,7 +302,7 @@ class ScaleSchedule:
     def __post_init__(self) -> None:
         object.__setattr__(self, "m", as_natural(self.m, "time horizon"))
 
-    @property
+    @cached_property
     def base(self) -> int:
         return time_offset_base(self.m)
 
@@ -338,22 +325,22 @@ class ScaleSchedule:
 
 
 def check_horizon(space: DistanceSpace, m: int) -> int:
-    """The offset base N for horizon m, once N*max(h, 1) + m fits in int64.
+    """The offset base N of ``ScaleSchedule(m)``, once N*max(h, 1) + m fits in
+    int64 for h the space's cheap diameter bound (for sequences, their length).
 
-    That sum bounds every deformed value and N itself.  The space's cheap
-    diameter bound decides first (for sequences, their length); only when
-    that bound does not fit is the exact diameter found.  Raises InputError
-    otherwise, so an input ``deform`` cannot represent is rejected by every
-    subcommand rather than wrapped around or looped over step by step.
+    That sum bounds every deformed value and N itself.  No exact diameter is
+    sought past the bound: a sequence length that fits in memory overflows
+    it only from m of about 10^12, and every subcommand builds lists of
+    m + 1 entries.  Raises InputError otherwise, so an input ``deform``
+    cannot represent is rejected by every subcommand rather than wrapped
+    around or looped over step by step.
     """
-    base = time_offset_base(m)
-    h = max(space.diameter_bound(), 1)
-    if base * h + m > INT64_MAX:
-        h = max(space.diameter(), 1)
-    if base * h + m > INT64_MAX:
+    schedule = ScaleSchedule(m)
+    base, h = schedule.base, max(space.diameter_bound(), 1)
+    if base * h + schedule.m > INT64_MAX:
         raise InputError(
             f"deformed distances overflow int64: N*max(h, 1) + m = "
-            f"{base}*{h} + {m} exceeds {INT64_MAX}"
+            f"{base}*{h} + {schedule.m} exceeds {INT64_MAX}"
         )
     return base
 

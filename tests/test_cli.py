@@ -443,9 +443,9 @@ def test_default_deformed_on_sequences_never_builds_the_hamming_matrix(
 
 
 @pytest.mark.parametrize("command", ["classical", "deformed", "compare", "oracle", "bench"])
-def test_sequence_horizon_overflow_names_the_exact_diameter(command, tmp_path, capsys):
-    # length 6 but diameter 2: the length bound overflows, so the exact
-    # diameter is found, and the message names it
+def test_sequence_horizon_overflow_names_the_length_bound(command, tmp_path, capsys):
+    # length 6 but diameter 2: the length bound decides, and the message
+    # names it
     fasta, meta = tmp_path / "seqs.fa", tmp_path / "meta.tsv"
     fasta.write_text(">s1\nAAAAAA\n>s2\nAAAACC\n>s3\nAAAAAC\n")
     meta.write_text("id\ttime\ns1\t0\ns2\t1\ns3\t1\n")
@@ -453,5 +453,18 @@ def test_sequence_horizon_overflow_names_the_exact_diameter(command, tmp_path, c
     assert cli.main(argv + ["--horizon", str(10**18)]) == 1
     assert capsys.readouterr().err == (
         "error: deformed distances overflow int64: N*max(h, 1) + m = "
-        "10000000000000000000*2 + 1000000000000000000 exceeds 9223372036854775807\n"
+        "10000000000000000000*6 + 1000000000000000000 exceeds 9223372036854775807\n"
     )
+
+
+def test_running_out_of_memory_is_one_error_line(monkeypatch, capsys):
+    # numpy's allocation failure is a MemoryError with its own message
+    numpy_text = "Unable to allocate 298. GiB for an array with shape (200000, 200000)"
+    for exc, line in ((MemoryError(), "out of memory"), (MemoryError(numpy_text), numpy_text)):
+
+        def exhaust(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cli, "deformed_snv", exhaust)
+        assert cli.main(["deformed", "--n", "3", "--m", "1"]) == 1
+        assert capsys.readouterr() == ("", f"error: {line}\n")

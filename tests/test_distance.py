@@ -201,17 +201,18 @@ def test_deform_rejects_int64_overflow():
         check_horizon(edge, m + 1)
 
 
-def test_sequence_horizon_needs_the_diameter_only_past_the_length_bound(monkeypatch):
+def test_sequence_horizon_is_decided_by_the_length_bound(monkeypatch):
     space, _ = build_space_from_sequences([("a", "A" * 10), ("b", "CC" + "A" * 8)])
-    # N*L + m = 10^18 * 10 + 10^17 overflows, N*h + m with h = 2 fits
-    assert check_horizon(space, 10**17) == 10**18
 
     def refuse(codes):
         raise AssertionError("a distance was computed")
 
-    # under the length bound no distance is computed at all
-    monkeypatch.setattr(snvrips.distance, "_hamming_rows", refuse)
+    # no distance is computed on either side of the bound
+    monkeypatch.setattr(snvrips.distance, "hamming_matrix", refuse)
     assert check_horizon(space, 10**16) == 10**17
+    # N*L + m = 10^18 * 10 + 10^17 overflows, though N*h + m with h = 2 fits
+    with pytest.raises(InputError, match=rf"= {10**18}\*10 \+ {10**17} exceeds"):
+        check_horizon(space, 10**17)
 
 
 def test_time_labels_validation():
