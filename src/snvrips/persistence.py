@@ -37,11 +37,12 @@ matrix is built, as in Ripser.  It runs three passes:
 
 Rows are face ranks, and the cohomology pass numbers its triangle rows
 backwards, so every pass takes a column's highest row as its pivot.  ``p``
-picks only the column kernel, which owns the inner loop: over F_2 a column
-is a Python int bitset (pivot ``bit_length() - 1``, addition by XOR), over
-other primes a dict keyed by rank.  Every chain is keyed by edge rank.
+picks only the column kernel, which owns the inner loop of every reduction
+here: over F_2 a column is a Python int bitset (pivot ``bit_length() - 1``,
+addition by XOR), over other primes a dict keyed by rank.  Every chain is
+keyed by edge rank.
 
-``nonzero_sweep`` checks the deaths from outside: over the same face ranks it
+``nonzero_sweep`` checks the deaths from outside, with the same kernel: it
 grows its own echelon of triangle boundaries once over ascending thresholds,
 and reports whether each 1-chain lies outside that span at each threshold.
 """
@@ -113,13 +114,19 @@ def _f2_chain(bits: int) -> Chain:
     return chain
 
 
+def _fp_owner(col: Chain, low: int, p: int) -> Chain:  # a fresh copy, 1 at its low
+    inv = pow(col[low], p - 2, p)
+    return {row: val * inv % p for row, val in col.items()}
+
+
 def _fp_reduce(col: Chain, owner_of, p: int) -> Chain:
     while col:
         low = max(col)
         owner = owner_of(low)
         if owner is None:
             break
-        _axpy(col, owner, col[low] * pow(owner[low], p - 2, p) % p, p)
+        c, a = col[low], owner[low]  # an owner scaled to 1 needs no inverse
+        _axpy(col, owner, c if a == 1 else c * pow(a, p - 2, p) % p, p)
     return col
 
 
@@ -132,12 +139,13 @@ class _Kernel(NamedTuple):
     low: Callable  # nonzero column -> its highest row
     reduce: Callable  # (column, owner_of, p) -> column
     chain: Callable  # column -> Chain, keyed by rank
+    owner: Callable  # (column, low, p) -> the column an echelon keeps
     p: int = 2
     signs: tuple[int, ...] = (1, 1, 1)  # face k has sign (-1)^k; an edge takes two
 
 
-_F2 = _Kernel(_f2_column, lambda col: col.bit_length() - 1, _f2_reduce, _f2_chain)
-_FP = _Kernel(lambda rows, vals: dict(zip(rows, vals)), max, _fp_reduce, dict)
+_F2 = _Kernel(_f2_column, lambda col: col.bit_length() - 1, _f2_reduce, _f2_chain, lambda c, *_: c)
+_FP = _Kernel(lambda rows, vals: dict(zip(rows, vals)), max, _fp_reduce, dict, _fp_owner)
 
 
 def _kernel(p: int) -> _Kernel:
@@ -356,10 +364,9 @@ def nonzero_sweep(
     the triangles with value <= thresholds[i].  Chain k is tested from the
     first threshold at or above the value of its youngest edge with a nonzero
     coefficient, where every edge of it is present, and reads False before.
-    Chains are keyed by edge rank and reduced against one echelon of triangle
-    boundaries, grown in rank order; each residue is carried from one
-    threshold to the next, since a residue reduced against a smaller span
-    stays valid as the span grows.
+    Its residue against one echelon of triangle boundaries, grown in rank
+    order, is carried from one threshold to the next: a residue reduced
+    against a smaller span stays valid as the span grows.
     """
     check_prime(p)
     thresholds = np.asarray(thresholds)
@@ -368,47 +375,35 @@ def nonzero_sweep(
     if not chains:
         return []
     (_, tri_faces), (edge_value, tri_value) = cplx.faces, cplx.values
+    kernel = _kernel(p)
     # triangles are in value order: those below thresholds[i] are a prefix
     stops = np.searchsorted(tri_value, thresholds, "right").tolist()
-    residues: list[Chain] = []
+    residues = []
     for chain in chains:
         residue = {}
         for rank, coeff in chain.items():
-            if not 0 <= rank < len(edge_value):
+            if not 0 <= (rank := as_integer(rank, "chain entry")) < len(edge_value):
                 raise InputError(f"chain entry {rank} is not an edge rank")
-            coeff = as_integer(coeff, "chain coefficient") % p
-            if coeff:
+            if coeff := as_integer(coeff, "chain coefficient") % p:
                 residue[rank] = coeff
-        residues.append(residue)
+        residues.append(kernel.column(list(residue), list(residue.values())))
     # values ascend with rank, so a chain's youngest edge enters last
-    entry = [edge_value[max(r)] if r else 0 for r in residues]
+    entry = [edge_value[kernel.low(r)] if r else 0 for r in residues]
     starts = np.searchsorted(thresholds, entry).tolist()
 
     # faces are read one triangle at a time: the sweep may stop long before the last
-    echelon: dict[int, Chain] = {}  # pivot row -> normalized column
+    echelon: dict[int, Any] = {}  # pivot row -> its column, as kernel.owner keeps it
     nonzero = [[False] * len(stops) for _ in chains]
     done = 0
     for i, stop in enumerate(stops):
         for t in range(done, stop):
-            col = dict(zip(tri_faces[t].tolist(), (1, p - 1, 1)))
-            low = _free_low(col, echelon, p)
-            if low is not None:
-                inv = pow(col[low], p - 2, p)
-                echelon[low] = {r: val * inv % p for r, val in col.items()}
+            col = kernel.reduce(kernel.column(tri_faces[t].tolist(), kernel.signs), echelon.get, p)
+            if col:
+                low = kernel.low(col)
+                echelon[low] = kernel.owner(col, low, p)
         done = stop
         for k, residue in enumerate(residues):
             if i >= starts[k]:
-                nonzero[k][i] = _free_low(residue, echelon, p) is not None
+                residues[k] = residue = kernel.reduce(residue, echelon.get, p)
+                nonzero[k][i] = bool(residue)
     return nonzero
-
-
-def _free_low(col: Chain, echelon: dict[int, Chain], p: int) -> int | None:
-    """Reduce ``col`` in place against the echelon; its lowest row owned by no
-    pivot, or None once it is zero."""
-    while col:
-        low = max(col)
-        owner = echelon.get(low)
-        if owner is None:
-            return low
-        _axpy(col, owner, col[low], p)
-    return None

@@ -202,8 +202,27 @@ def test_class_check_rejects_absent_edges():
     for outside in (-1, len(cplx.faces[0])):
         with pytest.raises(InputError, match=f"chain entry {outside} is not an edge"):
             nonzero_at({outside: 1}, cplx, 1, 2)
+    # a rank is checked like a coefficient: a float or a str is bad input
+    for word in (1.5, "1"):
+        with pytest.raises(InputError, match="chain entry must be an integer"):
+            nonzero_at({word: 1}, cplx, 1, 2)
     with pytest.raises(ValueError, match="ascending"):
         nonzero_sweep(cplx, [], [2, 1], 2)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_numpy_ranks_sweep_as_their_ints(p):
+    # 14 points give 91 edges, so ranks reach past one 64-bit word
+    rng = np.random.default_rng(5)
+    d = rng.integers(1, 5, (14, 14))
+    d = np.triu(d, 1) + np.triu(d, 1).T
+    cplx = matrix_rips(d, cap=4)
+    chains = [bar.representative for bar in barcode_h1(cplx, p).bars]
+    chains.append({r: r % 4 - 1 for r in range(60, 91, 3)})
+    assert max(max(c) for c in chains) >= 64
+    as_numpy = [{np.int64(r): np.int64(c) for r, c in chain.items()} for chain in chains]
+    rows = nonzero_sweep(cplx, chains, range(5), p)
+    assert nonzero_sweep(cplx, as_numpy, range(5), p) == rows
 
 
 def test_mod_3_coefficients():

@@ -214,20 +214,23 @@ def test_nonzero_sweep_matches_dense_rank(d, p, data):
     triangles = [pos for pos, s in enumerate(cplx.simplices) if s.dim == 2]
 
     # bar representatives, sums of triangle boundaries (cycles that die when
-    # their youngest triangle enters) and arbitrary edge chains
+    # their youngest triangle enters) and arbitrary edge chains; coefficients
+    # are any integers, not only residues, and ranks are sometimes NumPy's
     chains = [bar.representative for bar in barcode_h1(cplx, p).bars]
-    coeff = st.integers(0, p - 1)
+    coeff = st.integers(-2 * p, 2 * p)
     if triangles:
         for _ in range(data.draw(st.integers(0, 3))):
             picks = data.draw(st.lists(st.sampled_from(triangles), max_size=3))
             column = dense_boundaries(cplx, picks, edge_row, p)
             weights = [data.draw(coeff) for _ in picks]
-            total = column @ np.array(weights, dtype=np.int64) % p
+            total = column @ np.array(weights, dtype=np.int64)
             chains.append({r: int(c) for r, c in enumerate(total) if c})
     if edges:
         for _ in range(data.draw(st.integers(0, 2))):
             picks = data.draw(st.lists(st.sampled_from(edges), max_size=4, unique=True))
             chains.append({edge_row[e]: data.draw(coeff) for e in picks})
+    if data.draw(st.booleans()):
+        chains = [{np.int64(r): np.int64(c) for r, c in chain.items()} for chain in chains]
 
     thresholds = list(range(diameter + 1))
     # a chain is tested from the value of its youngest edge with a nonzero
