@@ -15,7 +15,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -396,33 +396,50 @@ def dedupe_zero_distance(
     return kept, slot, merges
 
 
-def joins(pairs: Iterable[tuple[int, int]], n: int) -> tuple[list[bool], list[int]]:
-    """Union-find over points 0..n-1, taking the pairs in order: whether each
-    pair joins two groups of the pairs before it, and each point's root, the
-    member that names its group."""
-    root = list(range(n))
-    joined = []
-    for u, w in pairs:
-        while root[u] != u:
-            root[u] = root[root[u]]
-            u = root[u]
-        while root[w] != w:
-            root[w] = root[root[w]]
-            w = root[w]
-        joined.append(u != w)
-        root[u] = w
-    for k in range(n):
-        while root[root[k]] != root[k]:
-            root[k] = root[root[k]]
-    return joined, root
+def joins(pairs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """For the k x 2 array of pairs of points 0..n-1, taken in order: whether
+    each pair joins two groups of the pairs before it, and each point's
+    group, named by one member.
+
+    The joining pairs are the minimum spanning forest with pair k weighing k,
+    which distinct weights make unique, so Borůvka's rounds find the same
+    ones a union-find in pair order marks.  Each round drops the pairs inside
+    a group, takes each group's first pair out of it, hooks the group to the
+    group at that pair's other end, and merges the hooked groups by pointer
+    jumping.  Two groups that took the same pair hook each other; the one
+    with the smaller name stays the root."""
+    ends = np.asarray(pairs, dtype=np.intp).reshape(-1, 2)
+    joined = np.zeros(len(ends), dtype=bool)
+    label = np.arange(n)
+    rank, a, b = np.arange(len(ends)), ends[:, 0], ends[:, 1]
+    while True:
+        a, b = label[a], label[b]
+        outward = a != b
+        rank, a, b = rank[outward], a[outward], b[outward]
+        if not rank.size:
+            return joined, label
+        # pairs stay in rank order, so a group's lowest position is its first pair
+        first = np.full(n, rank.size)
+        np.minimum.at(first, a, np.arange(rank.size))
+        np.minimum.at(first, b, np.arange(rank.size))
+        group = np.flatnonzero(first < rank.size)
+        k = first[group]
+        joined[rank[k]] = True
+        other = a[k] + b[k] - group
+        label[group] = other
+        mutual = (label[other] == group) & (group < other)
+        label[group[mutual]] = group[mutual]
+        while not np.array_equal(up := label[label[group]], label[group]):
+            label[group] = up
+        label = label[label]
 
 
 def group_zero_distance(dist: np.ndarray) -> np.ndarray:
     """Each point's group under chains of distance-0 pairs, named by one
-    member: ``joins`` over the zero entries of the upper triangle."""
+    member: the labels ``joins`` gives the zero entries of the upper
+    triangle."""
     d = np.asarray(dist)
-    zi, zj = np.nonzero(np.triu(d == 0, k=1))
-    return np.array(joins(zip(zi.tolist(), zj.tolist()), len(d))[1], dtype=np.int64)
+    return joins(np.argwhere(np.triu(d == 0, k=1)), len(d))[1]
 
 
 def merge_distances(dist: np.ndarray, slot: np.ndarray) -> np.ndarray:

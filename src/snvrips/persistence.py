@@ -8,9 +8,11 @@ and triangle lists its faces as ranks (a simplex's rank counts the simplices
 of its dimension before it), and face k has sign (-1)^k, so no boundary
 matrix is built, as in Ripser.  It runs three passes:
 
-1. The union-find ``distance.joins`` over the edges, in filtration order,
-   marks the H_0 deaths: the edges that join two components.  No H_1 class
-   is born at them, so their coboundaries are cleared.
+1. ``distance.joins`` marks the H_0 deaths: the edges that join two
+   components of the edges before them in filtration order.  They are the
+   minimum spanning forest with each edge weighted by its rank, found in
+   Borůvka's array rounds.  No H_1 class is born at them, so their
+   coboundaries are cleared.
 2. The other edge coboundaries are reduced in reverse filtration order, with
    triangle rows, so a column's pivot is its oldest triangle.  A pivot that
    no column owns yet is taken at once, an apparent pair (Bauer, *Ripser*,
@@ -30,7 +32,8 @@ matrix is built, as in Ripser.  It runs three passes:
    boundaries, where only H_0 deaths own pivots: the edge plus a chain on
    their spanning forest.  A chain on a forest is fixed by its boundary, so
    ``_forest_cycles`` walks the forest path between the edge's ends and no
-   edge boundary is reduced.
+   edge boundary is reduced.  It first peels the forest's pendant trees,
+   which no such path enters, and roots only what is left.
 
 ``pair_h1`` runs passes 1 and 2 alone, for callers that need only the pairs;
 ``barcode_h1`` builds on the same call.
@@ -62,6 +65,11 @@ from .errors import InputError
 from .rips import FilteredComplex, boundary_matrix  # noqa: F401
 
 Chain = dict[int, int]
+
+# Array rounds that peel the spanning forest before it is rooted.  Any number
+# leaves the same cycles; the bound keeps a long pendant path from costing a
+# pass over the forest per vertex.  Tree data needs about a dozen.
+_PEEL_ROUNDS = 32
 
 
 @dataclass(frozen=True)
@@ -249,13 +257,27 @@ def _forest_cycles(
     from j to i in the forest of the cleared edges, each edge walked from its
     lower end to its higher end at 1 and the other way at p - 1.  Edge e's
     vertices are ``edge_faces[e]``, higher first, as the builder stores them.
-    Only the vertices of forest edges are visited: an essential edge closes
-    a cycle, so both its ends are among them."""
+
+    The forest is peeled first: up to ``_PEEL_ROUNDS`` array rounds drop the
+    forest edges with an end of degree 1 among the forest and essential
+    edges.  An essential edge closes a cycle, so each vertex of that cycle
+    keeps degree 2 or more, and no forest path between the ends of essential
+    edges enters a peeled tree.  The rest is rooted and walked, which visits
+    only the vertices of forest edges."""
     if not essential:
         return {}
     forest = np.flatnonzero(cleared)
+    ends = edge_faces[forest]
+    degree = np.bincount(ends.ravel(), minlength=n_points)
+    degree += np.bincount(edge_faces[essential].ravel(), minlength=n_points)
+    for _ in range(_PEEL_ROUNDS):
+        pendant = (degree[ends] == 1).any(axis=1)
+        if not pendant.any():
+            break
+        np.subtract.at(degree, ends[pendant].ravel(), 1)
+        forest, ends = forest[~pendant], ends[~pendant]
     neighbours: dict[int, list[tuple[int, int]]] = {}
-    for e, (j, i) in zip(forest.tolist(), edge_faces[forest].tolist()):
+    for e, (j, i) in zip(forest.tolist(), ends.tolist()):
         neighbours.setdefault(i, []).append((j, e))
         neighbours.setdefault(j, []).append((i, e))
     # root each tree at its lowest vertex: parent, the edge to it, and depth
@@ -301,7 +323,7 @@ def pair_h1(cplx: FilteredComplex, p: int) -> Pairing:
     of positive length, the ones a barcode keeps."""
     check_prime(p)
     edge_faces, tri_faces = cplx.faces
-    cleared = joins(edge_faces.tolist(), cplx.n_points)[0]
+    cleared = joins(edge_faces, cplx.n_points)[0].tolist()
     pairs, essential = _pair_by_cohomology(tri_faces, cleared, _kernel(p))
     tri = np.fromiter(pairs, dtype=np.int64, count=len(pairs))
     edge = np.fromiter(pairs.values(), dtype=np.int64, count=len(pairs))

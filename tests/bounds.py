@@ -47,8 +47,8 @@ FAR = [(f"{c} --format json", 60, 160) for c in ("compare --strict", "classical"
 # group: (input writer, [(command, seconds, MB), ...])
 GROUPS = {
     "tree-5000": (partial(tree, 0, 5000, 20), [(c, 20, 200) for c in UNIT_ROUTES]),
-    "tree-100000": (partial(tree, 7, 100000, 30), [("deformed", 60, 300)]
-                    + [(c, 90, 400) for c in ("classical --cap 1", "compare --strict")]),
+    "tree-100000": (partial(tree, 7, 100000, 30), [("deformed", 60, 300),
+                    ("classical --cap 1", 22, 400), ("compare --strict", 28, 400)]),
     "n400": (None, [("deformed --n 400 --m 12 --dmax 4 --seed 0", 30, 150),
                     ("deformed --n 400 --m 12 --dmax 4 --seed 0 --stability", 5, 150)]),
     "matrix-4000": (matrix_4000, [("deformed", 60, 400)]),

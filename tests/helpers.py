@@ -378,6 +378,28 @@ def h0_edges(cplx: FilteredComplex, result) -> set[int]:
     return set(range(n_edges)) - set(result.pairs.values()) - result.cycles.keys()
 
 
+def reference_joins(pairs, n: int) -> tuple[list[bool], list[int]]:
+    """Union-find over points 0..n-1, taking the pairs in order: whether each
+    pair joins two groups of the pairs before it, and each point's root, the
+    member that names its group.  Kruskal's algorithm with pair k weighing k,
+    one pair at a time: the reference for ``distance.joins``."""
+    root = list(range(n))
+    joined = []
+    for u, w in pairs:
+        while root[u] != u:
+            root[u] = root[root[u]]
+            u = root[u]
+        while root[w] != w:
+            root[w] = root[root[w]]
+            w = root[w]
+        joined.append(u != w)
+        root[u] = w
+    for k in range(n):
+        while root[root[k]] != root[k]:
+            root[k] = root[root[k]]
+    return joined, root
+
+
 def reference_forest_cycles(
     ends: list[list[int]], cleared: list[bool], essential: list[int], n_points: int, p: int
 ) -> dict[int, dict[int, int]]:

@@ -49,7 +49,7 @@ from snvrips.distance import (
 )
 from snvrips.io import parse_matrix, parse_sequences
 from snvrips.oracle import betti1_bruteforce, rank_mod_p
-from snvrips.persistence import _forest_cycles, reduce_with_basis
+from snvrips.persistence import _PEEL_ROUNDS, _forest_cycles, reduce_with_basis
 from snvrips.pipeline import SnvBar, alive_counts
 from snvrips.rips import Edges, Simplex, build_rips
 
@@ -66,6 +66,7 @@ from helpers import (
     matrix_rips,
     read_lower_triangle,
     reference_forest_cycles,
+    reference_joins,
     standard_view,
 )
 
@@ -341,6 +342,52 @@ def test_dedupe_matches_brute_force(case):
     assert got_matrix.dtype == np.int64
     assert np.array_equal(got_matrix, want_matrix)
     assert list(got_merges.items()) == list(want_merges.items())
+
+
+def partition(labels) -> list[int]:
+    """Each point's group named by its first member: equal lists, equal groups."""
+    first: dict[int, int] = {}
+    return [first.setdefault(label, k) for k, label in enumerate(labels)]
+
+
+@st.composite
+def graphs_in_rank_order(draw):
+    """(pairs, n): distinct pairs of points 0..n-1, either end first, in a
+    random order.  Some graphs are arbitrary, with isolated points and
+    several components; others are a path through all points, longer than
+    twice the peel bound, listed shuffled, with a few more pairs."""
+    if draw(st.booleans()):
+        n = draw(st.integers(0, 16))
+        chosen = list(itertools.combinations(range(n), 2))
+        chosen = draw(st.lists(st.sampled_from(chosen), unique=True)) if chosen else []
+    else:
+        n = draw(st.integers(2 * _PEEL_ROUNDS + 2, 2 * _PEEL_ROUNDS + 40))
+        order = draw(st.permutations(range(n)))
+        extra = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=4))
+        chosen = sorted({tuple(sorted(pair)) for pair in [*zip(order, order[1:]), *extra]
+                         if pair[0] != pair[1]})
+    pairs = [pair[:: draw(st.sampled_from([1, -1]))] for pair in draw(st.permutations(chosen))]
+    return pairs, n
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_in_rank_order())
+def test_joins_marks_the_union_find_edges_and_its_groups(case):
+    pairs, n = case
+    joined, label = joins(np.array(pairs, dtype=np.int64).reshape(-1, 2), n)
+    want_joined, want_root = reference_joins(pairs, n)
+    assert joined.tolist() == want_joined
+    assert partition(label.tolist()) == partition(want_root)
+
+
+@settings(max_examples=200, deadline=None)
+@given(semimetrics_with_zero_chains())
+def test_zero_distance_groups_are_the_union_find_groups(case):
+    _, d = case
+    zero = np.argwhere(np.triu(d == 0, k=1)).tolist()
+    assert partition(group_zero_distance(d).tolist()) == partition(
+        reference_joins(zero, len(d))[1]
+    )
 
 
 def reads_like_the_reference(text: str, n: int) -> bool:
@@ -774,18 +821,24 @@ def forests_with_closing_edges(draw):
     among them, whose edges are cleared; edges that close a cycle in one of
     its trees, which are essential, youngest first; and other edges, which
     are neither.  Vertices are shuffled, so trees interleave in vertex order,
-    and edges come in a random rank order, each listed higher end first."""
-    n = draw(st.integers(1, 14))
+    and edges come in a random rank order, each listed higher end first.
+    Most forests are small, with pendant trees; some are one path longer
+    than twice the peel bound, so that a peel of every round leaves pendant
+    vertices behind."""
+    path = not draw(st.integers(0, 4))
+    long = st.integers(2 * _PEEL_ROUNDS + 2, 2 * _PEEL_ROUNDS + 30)
+    n = draw(long if path else st.integers(1, 14))
     label = draw(st.permutations(range(n)))
     forest = set()
     for v in range(1, n):
-        u = draw(st.one_of(st.none(), st.integers(0, v - 1)))
+        u = v - 1 if path else draw(st.one_of(st.none(), st.integers(0, v - 1)))
         if u is not None:
             forest.add(tuple(sorted((label[u], label[v]))))
-    root = joins(sorted(forest), n)[1]
+    root = reference_joins(sorted(forest), n)[1]
     others = [pair for pair in itertools.combinations(range(n), 2) if pair not in forest]
     closing = [pair for pair in others if root[pair[0]] == root[pair[1]]]
-    closing = draw(st.lists(st.sampled_from(closing), unique=True)) if closing else []
+    if closing:
+        closing = draw(st.lists(st.sampled_from(closing), unique=True, min_size=int(path)))
     rest = [pair for pair in others if pair not in closing]
     rest = draw(st.lists(st.sampled_from(rest), unique=True)) if rest else []
     edges = draw(st.permutations(sorted(forest) + closing + rest))
@@ -798,14 +851,23 @@ def forests_with_closing_edges(draw):
 @settings(max_examples=300, deadline=None)
 @given(forests_with_closing_edges(), st.sampled_from([2, 3, 5]))
 def test_forest_cycles_visit_only_the_forest_and_find_the_same_cycles(case, p):
-    # the same cycles as a rooting of every point, insertion order included
+    # the same cycles as a rooting of every point.  With no pendant vertex
+    # nothing is peeled and every tree keeps the reference's root, so each
+    # cycle lists its ranks in the same order; a peel may move a root, which
+    # reorders a cycle's ranks but changes no rank or coefficient.
     ends, cleared, essential, n = case
     faces = np.array(ends, dtype=np.int64).reshape(-1, 2)
     got = _forest_cycles(faces, cleared, essential, n, p)
     want = reference_forest_cycles(ends, cleared, essential, n, p)
-    assert [(e, list(c.items())) for e, c in got.items()] == [
-        (e, list(c.items())) for e, c in want.items()
-    ]
+    degree = np.bincount(faces[np.array(cleared, dtype=bool)].ravel(), minlength=n)
+    degree += np.bincount(faces[essential].ravel(), minlength=n)
+    assert list(got) == list(want)
+    if (degree == 1).any():
+        assert got == want
+    else:
+        assert [(e, list(c.items())) for e, c in got.items()] == [
+            (e, list(c.items())) for e, c in want.items()
+        ]
 
 
 @st.composite
